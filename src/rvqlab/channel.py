@@ -22,8 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SingularCovarianceError, UnsupportedModelError
-from .linalg import check_spectrum, gram_spectrum, hermitian_eig
+from .errors import UnsupportedModelError
+from .linalg import check_spectrum, hermitian_eig
 from .rng import sample_unitary
 
 UNITARY_TOL = 1e-8
@@ -208,10 +208,3 @@ def transmit_covariance(model: ChannelModel) -> CovariancePair:
         return CovariancePair(sigma_t=st, sigma_r=sr)
     raise UnsupportedModelError(f"unknown channel model {type(model)!r}")
 
-
-def covariance_spectrum(sigma: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a covariance matrix (PSD required)."""
-    try:
-        return gram_spectrum(sigma)
-    except ValueError as exc:
-        raise SingularCovarianceError(str(exc)) from exc

@@ -4,6 +4,7 @@ A codebook of B bits holds 2^B isotropically drawn unit vectors; the receiver
 picks the entry maximizing the beamforming gain f* (H*H) f and feeds its index
 back.  Skewed variants pass every entry through a fixed full-rank matrix and
 renormalize, which biases the ensemble toward the matrix's dominant subspace.
+``best_quotients`` is the Monte Carlo kernel behind every sampled loss.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import ResourceLimitError, SingularSkewError
-from .rng import sample_isotropic
+from .rng import RngStream, sample_isotropic
 
 MAX_BITS = 24
 SKEW_COND_TOL = 1e-12
+_MC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,42 @@ def skew_codebook(base: Codebook, a: np.ndarray) -> Codebook:
 def selection_metrics(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Beamforming gains f* G f for each row f (real, one per row)."""
     return np.einsum("ki,ij,kj->k", vectors.conj(), gram, vectors).real
+
+
+def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream):
+    """Monte Carlo kernel: yield each chunk's best quotients as a (K, take) array.
+
+    Every codebook holds 2^bits complex Gaussian codewords f shared by the K
+    (M, N) pairs; row k holds each codebook's max of (f'Mf)/(f'Nf), where
+    N = None means the plain norm f'f.  Chunk c draws from stream.derive(c),
+    so values do not depend on the worker layout.  A codebook larger than
+    the block is drawn in codeword slices from the same generator; the
+    draws are sequential and max is exact, so slicing changes no value and
+    memory stays bounded at any bits.
+    """
+    m = 1 << bits
+    n = pairs[0][0].shape[0]
+    per_chunk = max(1, _MC_BLOCK // (m * n))
+    step = max(1, _MC_BLOCK // n)
+    plain = any(nn is None for _, nn in pairs)
+    pos = chunk = 0
+    while pos < n_codebooks:
+        take = min(per_chunk, n_codebooks - pos)
+        gen = stream.derive(chunk).generator()
+        best = np.full((len(pairs), take), -np.inf)
+        for lo in range(0, m, step):
+            g = gen.standard_normal((take, min(step, m - lo), n, 2))
+            f = g[..., 0] + 1j * g[..., 1]
+            fc = f.conj()
+            norm2 = np.einsum("cki,cki->ck", fc, f).real if plain else None
+            for k, (mm, nn) in enumerate(pairs):
+                num = np.einsum("cki,ij,ckj->ck", fc, mm, f).real
+                den = norm2 if nn is None else np.einsum(
+                    "cki,ij,ckj->ck", fc, nn, f).real
+                np.maximum(best[k], (num / den).max(axis=1), out=best[k])
+        yield best
+        pos += take
+        chunk += 1
 
 
 def select(book: Codebook, channel: ChannelRealization, rho: float) -> BeamSelection:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +22,7 @@ import scipy
 from . import loss, ordering, skew
 from .channel import (FixedSpectrumModel, IIDModel, KroneckerModel,
                       normalize_power, sample_channel)
+from .codebook import best_quotients
 from .errors import RvqlabError
 from .rng import RngStream
 from .wnorm import WeightedNormLaw, cdf, empirical_cdf, empirical_cdf_eval
@@ -167,47 +167,20 @@ def skew_candidates_avg(model, candidates, bits, n_channels, n_codebooks,
     """
     if n_channels < 2:
         raise ValueError("need at least 2 channel draws for a standard error")
-    mats = []
-    for _, sk in candidates:
-        mats.append(None if sk is None else (sk.a.conj().T, sk.a))
+    mats = [None if sk is None else (sk.a.conj().T, sk.a) for _, sk in candidates]
     per_ch = np.empty((len(candidates), n_channels))
-    m = 1 << bits
     for i in range(n_channels):
         sub = stream.derive(i)
         ch = sample_channel(model, sub.derive("channel").generator())
-        dim = ch.gram.shape[0]
         top = float(ch.spectrum[0])
-        pairs = []
-        for mat in mats:
-            if mat is None:
-                pairs.append((ch.gram, None))
-            else:
-                ah, a = mat
-                pairs.append((ah @ ch.gram @ a, ah @ a))
+        pairs = [(ch.gram, None) if mat is None
+                 else (mat[0] @ ch.gram @ mat[1], mat[0] @ mat[1]) for mat in mats]
         acc = np.zeros(len(candidates))
-        done = 0
-        chunk = 0
-        per_chunk = max(1, (1 << 16) // (m * dim))
-        fstream = sub.derive("codebooks")
-        while done < n_codebooks:
-            take = min(per_chunk, n_codebooks - done)
-            g = fstream.derive(chunk).generator().standard_normal((take, m, dim, 2))
-            f = g[..., 0] + 1j * g[..., 1]
-            norm2 = np.einsum("cki,cki->ck", f.conj(), f).real
-            for j, (mm, nn) in enumerate(pairs):
-                num = np.einsum("cki,ij,ckj->ck", f.conj(), mm, f).real
-                den = norm2 if nn is None else np.einsum(
-                    "cki,ij,ckj->ck", f.conj(), nn, f).real
-                acc[j] += float((1.0 - (num / den).max(axis=1) / top).sum())
-            done += take
-            chunk += 1
+        for best in best_quotients(pairs, bits, n_codebooks, sub.derive("codebooks")):
+            acc += (1.0 - best / top).sum(axis=1)
         per_ch[:, i] = acc / n_codebooks
-    out = []
-    for j, (label, _) in enumerate(candidates):
-        row = per_ch[j]
-        out.append((label, float(row.mean()),
-                    float(row.std(ddof=1) / math.sqrt(n_channels))))
-    return out
+    return [(label, est.value, est.stderr) for (label, _), est in
+            zip(candidates, map(loss.LossEstimate.from_samples, per_ch))]
 
 
 # ---------------------------------------------------------------------------

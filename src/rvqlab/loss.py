@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .channel import ChannelRealization, ChannelModel, sample_channel
+from .codebook import best_quotients
 from .errors import (DegenerateSpectrumError, InstabilityGuardError,
                      ResourceLimitError, UnsupportedModelError)
 from .linalg import check_spectrum
@@ -35,7 +36,6 @@ MAX_CLOSED_FORM_BITS = 20
 MAX_OUTER_TERMS = 10 ** 4
 _SERIES_RTOL = 1e-15
 _LN2 = math.log(2.0)
-_MC_CHUNK_TARGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,12 @@ class LossEstimate:
     method: str
     stderr: float | None = None
     warning: str | None = None
+
+    @classmethod
+    def from_samples(cls, samples: np.ndarray) -> "LossEstimate":
+        """Monte Carlo estimate: the sample mean and its standard error."""
+        return cls(float(samples.mean()), "monte-carlo",
+                   stderr=float(samples.std(ddof=1) / math.sqrt(samples.size)))
 
 
 @dataclass(frozen=True)
@@ -230,27 +236,16 @@ def epsilon_b_log2(lam, bits: int) -> float:
             - math.log2(appx))
 
 
-def _gain_loss_samples(gram: np.ndarray, top: float, bits: int,
-                       n_codebooks: int, stream: RngStream) -> np.ndarray:
-    """Per-codebook normalized gain-loss samples, chunk-stable for any worker
-    layout (chunk c always uses the substream derived with key c)."""
-    m = 1 << bits
-    n = gram.shape[0]
-    per_chunk = max(1, _MC_CHUNK_TARGET // (m * n))
-    out = np.empty(n_codebooks)
-    pos = 0
-    chunk = 0
-    while pos < n_codebooks:
-        take = min(per_chunk, n_codebooks - pos)
-        g = stream.derive(chunk).generator().standard_normal((take, m, n, 2))
-        f = g[..., 0] + 1j * g[..., 1]
-        num = np.einsum("cki,ij,ckj->ck", f.conj(), gram, f).real
-        den = np.einsum("cki,cki->ck", f.conj(), f).real
-        best = (num / den).max(axis=1)
-        out[pos:pos + take] = (top - best) / top
-        pos += take
-        chunk += 1
-    return out
+def _mc_samples(channel: ChannelRealization, bits: int, n_codebooks: int,
+                stream: RngStream, post) -> np.ndarray:
+    """post(best gain) for each fresh codebook, drawn by the shared kernel."""
+    return np.concatenate([post(best[0]) for best in best_quotients(
+        [(channel.gram, None)], bits, n_codebooks, stream)])
+
+
+def _gain_loss(channel: ChannelRealization):
+    top = float(channel.spectrum[0])
+    return lambda best: (top - best) / top
 
 
 def delta1_mc(channel: ChannelRealization, bits: int, n_codebooks: int,
@@ -259,12 +254,10 @@ def delta1_mc(channel: ChannelRealization, bits: int, n_codebooks: int,
     _check_bits(bits)
     if n_codebooks < 2:
         raise ValueError("need at least 2 codebooks for a standard error")
-    top = float(channel.spectrum[0])
-    if top <= 0:
+    if channel.spectrum[0] <= 0:
         raise ValueError("zero channel")
-    samples = _gain_loss_samples(channel.gram, top, bits, n_codebooks, stream)
-    return LossEstimate(float(samples.mean()), "monte-carlo",
-                        stderr=float(samples.std(ddof=1) / math.sqrt(n_codebooks)))
+    return LossEstimate.from_samples(
+        _mc_samples(channel, bits, n_codebooks, stream, _gain_loss(channel)))
 
 
 def delta1_closed(lam, bits: int) -> LossEstimate:
@@ -453,26 +446,9 @@ def delta2_asympt(lam, rho: float, bits: int, method: str = "prop3") -> LossEsti
     raise ValueError(f"unknown method {method!r}")
 
 
-def _rate_loss_samples(gram: np.ndarray, top: float, rho: float, bits: int,
-                       n_codebooks: int, stream: RngStream) -> np.ndarray:
-    m = 1 << bits
-    n = gram.shape[0]
-    per_chunk = max(1, _MC_CHUNK_TARGET // (m * n))
-    out = np.empty(n_codebooks)
-    i_perf = math.log2(1.0 + rho * top)
-    pos = 0
-    chunk = 0
-    while pos < n_codebooks:
-        take = min(per_chunk, n_codebooks - pos)
-        g = stream.derive(chunk).generator().standard_normal((take, m, n, 2))
-        f = g[..., 0] + 1j * g[..., 1]
-        num = np.einsum("cki,ij,ckj->ck", f.conj(), gram, f).real
-        den = np.einsum("cki,cki->ck", f.conj(), f).real
-        best = (num / den).max(axis=1)
-        out[pos:pos + take] = i_perf - np.log2(1.0 + rho * best)
-        pos += take
-        chunk += 1
-    return out
+def _rate_loss(channel: ChannelRealization, rho: float):
+    i_perf = math.log2(1.0 + rho * float(channel.spectrum[0]))
+    return lambda best: i_perf - np.log2(1.0 + rho * best)
 
 
 def delta2_mc(channel: ChannelRealization, rho: float, bits: int,
@@ -483,12 +459,10 @@ def delta2_mc(channel: ChannelRealization, rho: float, bits: int,
         raise ValueError("rho must be positive")
     if n_codebooks < 2:
         raise ValueError("need at least 2 codebooks for a standard error")
-    top = float(channel.spectrum[0])
-    if top <= 0:
+    if channel.spectrum[0] <= 0:
         raise ValueError("zero channel")
-    samples = _rate_loss_samples(channel.gram, top, rho, bits, n_codebooks, stream)
-    return LossEstimate(float(samples.mean()), "monte-carlo",
-                        stderr=float(samples.std(ddof=1) / math.sqrt(n_codebooks)))
+    return LossEstimate.from_samples(
+        _mc_samples(channel, bits, n_codebooks, stream, _rate_loss(channel, rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,28 +470,24 @@ def delta2_mc(channel: ChannelRealization, rho: float, bits: int,
 
 
 def _channel_average(model: ChannelModel, bits: int, n_channels: int,
-                     n_codebooks: int, stream: RngStream, sampler) -> LossEstimate:
+                     n_codebooks: int, stream: RngStream, post_of) -> LossEstimate:
     if n_channels < 2:
         raise ValueError("need at least 2 channel draws for a standard error")
     means = np.empty(n_channels)
     for i in range(n_channels):
         sub = stream.derive(i)
         ch = sample_channel(model, sub.derive("channel").generator())
-        means[i] = sampler(ch, sub.derive("codebooks")).mean()
-    return LossEstimate(float(means.mean()), "monte-carlo",
-                        stderr=float(means.std(ddof=1) / math.sqrt(n_channels)))
+        means[i] = _mc_samples(ch, bits, n_codebooks, sub.derive("codebooks"),
+                               post_of(ch)).mean()
+    return LossEstimate.from_samples(means)
 
 
 def avg_delta_snr(model: ChannelModel, bits: int, n_channels: int,
                   n_codebooks: int, stream: RngStream) -> LossEstimate:
     """Channel- and codebook-averaged normalized gain loss."""
     _check_bits(bits)
-
-    def sampler(ch, sub):
-        return _gain_loss_samples(ch.gram, float(ch.spectrum[0]), bits,
-                                  n_codebooks, sub)
-
-    return _channel_average(model, bits, n_channels, n_codebooks, stream, sampler)
+    return _channel_average(model, bits, n_channels, n_codebooks, stream,
+                            _gain_loss)
 
 
 def avg_delta_mi(model: ChannelModel, rho: float, bits: int, n_channels: int,
@@ -526,12 +496,8 @@ def avg_delta_mi(model: ChannelModel, rho: float, bits: int, n_channels: int,
     _check_bits(bits)
     if rho <= 0:
         raise ValueError("rho must be positive")
-
-    def sampler(ch, sub):
-        return _rate_loss_samples(ch.gram, float(ch.spectrum[0]), rho, bits,
-                                  n_codebooks, sub)
-
-    return _channel_average(model, bits, n_channels, n_codebooks, stream, sampler)
+    return _channel_average(model, bits, n_channels, n_codebooks, stream,
+                            lambda ch: _rate_loss(ch, rho))
 
 
 def hardening_approx(sigma_spectrum) -> HardeningApprox:

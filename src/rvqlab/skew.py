@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, ChannelRealization, sample_channel, transmit_covariance
+from .codebook import best_quotients
 from .errors import (DegenerateSpectrumError, SingularCovarianceError,
                      SingularSkewError, UnsupportedModelError)
 from .linalg import hermitian_eig
@@ -114,27 +115,19 @@ def delta1_sk_mc(channel: ChannelRealization, skew: SkewMatrix, bits: int,
         raise ValueError("bits must be non-negative")
     if n_codebooks < 2:
         raise ValueError("need at least 2 codebooks for a standard error")
-    m_mat, n_mat = _pair(channel, skew)
     top = float(channel.spectrum[0])
     if top <= 0:
         raise ValueError("zero channel")
-    m = 1 << bits
-    dim = m_mat.shape[0]
-    per_chunk = max(1, (1 << 16) // (m * dim))
-    out = np.empty(n_codebooks)
-    pos = 0
-    chunk = 0
-    while pos < n_codebooks:
-        take = min(per_chunk, n_codebooks - pos)
-        g = stream.derive(chunk).generator().standard_normal((take, m, dim, 2))
-        f = g[..., 0] + 1j * g[..., 1]
-        num = np.einsum("cki,ij,ckj->ck", f.conj(), m_mat, f).real
-        den = np.einsum("cki,ij,ckj->ck", f.conj(), n_mat, f).real
-        out[pos:pos + take] = 1.0 - (num / den).max(axis=1) / top
-        pos += take
-        chunk += 1
-    return LossEstimate(float(out.mean()), "monte-carlo",
-                        stderr=float(out.std(ddof=1) / math.sqrt(n_codebooks)))
+    out = np.concatenate([1.0 - best[0] / top for best in best_quotients(
+        [_pair(channel, skew)], bits, n_codebooks, stream)])
+    return LossEstimate.from_samples(out)
+
+
+def _pencil_pair(b: np.ndarray) -> tuple[float, float]:
+    """Eigenvalues (larger, smaller) of a 2x2 Hermitian matrix."""
+    half_tr = 0.5 * (b[0, 0].real + b[1, 1].real)
+    rad = math.hypot(0.5 * (b[0, 0].real - b[1, 1].real), abs(b[0, 1]))
+    return half_tr + rad, half_tr - rad
 
 
 def pencil_eigs_2(channel: ChannelRealization, skew: SkewMatrix, x: float) -> PencilEigs:
@@ -150,11 +143,7 @@ def pencil_eigs_2(channel: ChannelRealization, skew: SkewMatrix, x: float) -> Pe
     if not (lam[1] - slack <= x <= lam[0] + slack):
         raise ValueError("x outside the gain support")
     m, n = _pair(channel, skew)
-    b = m - x * n
-    half_tr = 0.5 * (b[0, 0].real + b[1, 1].real)
-    half_diff = 0.5 * (b[0, 0].real - b[1, 1].real)
-    rad = math.hypot(half_diff, abs(b[0, 1]))
-    return PencilEigs(gamma1=half_tr + rad, gamma2=half_tr - rad)
+    return PencilEigs(*_pencil_pair(m - x * n))
 
 
 def delta1_sk_exact2(channel: ChannelRealization, skew: SkewMatrix, bits: int,
@@ -176,11 +165,7 @@ def delta1_sk_exact2(channel: ChannelRealization, skew: SkewMatrix, bits: int,
     m_mat, n_mat = _pair(channel, skew)
 
     def integrand(x):
-        b = m_mat - x * n_mat
-        half_tr = 0.5 * (b[0, 0].real + b[1, 1].real)
-        rad = math.hypot(0.5 * (b[0, 0].real - b[1, 1].real), abs(b[0, 1]))
-        g1 = half_tr + rad
-        g2 = half_tr - rad
+        g1, g2 = _pencil_pair(m_mat - x * n_mat)
         return (max(-g2, 0.0) / (max(g1, 0.0) + max(-g2, 0.0))) ** m_pow
 
     inset = _ENDPOINT_INSET * (hi - lo)

@@ -1,0 +1,93 @@
+"""Contract of the shared Monte Carlo codebook kernel and its callers."""
+
+import tracemalloc
+
+import numpy as np
+
+from helpers import complex_gaussian, diag_channel, random_full_rank
+from rvqlab.channel import KroneckerModel
+from rvqlab.codebook import best_quotients
+from rvqlab.harness import skew_candidates_avg
+from rvqlab.loss import avg_delta_snr, delta1_mc
+from rvqlab.rng import RngStream
+from rvqlab.skew import SkewMatrix, delta1_sk_mc
+
+
+class _RecordingStream:
+    """Stream proxy that logs the shape of every Gaussian draw."""
+
+    def __init__(self, stream, shapes):
+        self.stream, self.shapes = stream, shapes
+
+    def derive(self, key):
+        return _RecordingStream(self.stream.derive(key), self.shapes)
+
+    def generator(self):
+        return _RecordingGenerator(self.stream.generator(), self.shapes)
+
+
+class _RecordingGenerator:
+    def __init__(self, gen, shapes):
+        self.gen, self.shapes = gen, shapes
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.gen.standard_normal(shape)
+
+
+def _quotient_pairs():
+    rng = RngStream(5).derive("pairs").generator()
+    h = complex_gaussian(rng, (2, 2))
+    a = random_full_rank(rng, 2)
+    gram = h.conj().T @ h
+    return [(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)]
+
+
+def test_sliced_codebooks_equal_one_unsliced_draw():
+    bits, n_codebooks = 17, 2
+    pairs = _quotient_pairs()
+    stream = RngStream(9).derive("sliced")
+    shapes = []
+    got = np.concatenate(list(best_quotients(
+        pairs, bits, n_codebooks, _RecordingStream(stream, shapes))), axis=1)
+    # each codebook is larger than the block, so it is drawn in slices
+    assert len(shapes) > n_codebooks
+    assert all(s[1] < 1 << bits for s in shapes)
+    want = np.empty((len(pairs), n_codebooks))
+    for c in range(n_codebooks):
+        g = stream.derive(c).generator().standard_normal((1, 1 << bits, 2, 2))
+        f = g[..., 0] + 1j * g[..., 1]
+        for k, (mm, nn) in enumerate(pairs):
+            num = np.einsum("cki,ij,ckj->ck", f.conj(), mm, f).real
+            den = (np.einsum("cki,cki->ck", f.conj(), f).real if nn is None
+                   else np.einsum("cki,ij,ckj->ck", f.conj(), nn, f).real)
+            want[k, c] = (num / den).max()
+    np.testing.assert_array_equal(got, want)
+
+
+def test_callers_agree_on_shared_draws():
+    model = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
+                           lambda_r=np.array([1.5, 1.0, 0.5]))
+    stream = RngStream(13).derive("shared")
+    est = avg_delta_snr(model, 3, 4, 40, stream)
+    rows = skew_candidates_avg(model, [("rvq", None), ("id", SkewMatrix(np.eye(4)))],
+                               3, 4, 40, stream)
+    for _, mean, se in rows:
+        np.testing.assert_allclose([mean, se], [est.value, est.stderr], rtol=1e-13)
+
+    ch = diag_channel([4.0, 3.0, 2.0, 1.0])
+    plain = delta1_mc(ch, 5, 30, stream)
+    skewed = delta1_sk_mc(ch, SkewMatrix(np.eye(4)), 5, 30, stream)
+    np.testing.assert_allclose([skewed.value, skewed.stderr],
+                               [plain.value, plain.stderr], rtol=1e-13)
+
+
+def test_sampled_loss_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        delta1_mc(diag_channel([4.0, 3.0, 2.0, 1.0]), 20, 2,
+                  RngStream(3).derive("memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
