@@ -76,8 +76,9 @@ def selection_metrics(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", vectors.conj(), gram, vectors).real
 
 
-def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream):
-    """Monte Carlo kernel: yield each chunk's best quotients as a (K, take) array.
+def best_quotients(pairs, bits: int, n_codebooks: int,
+                   stream: RngStream) -> np.ndarray:
+    """Monte Carlo kernel: the (K, n_codebooks) array of best quotients.
 
     Every codebook holds 2^bits complex Gaussian codewords f shared by the K
     (M, N) pairs; row k holds each codebook's max of (f'Mf)/(f'Nf), where
@@ -92,11 +93,11 @@ def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream):
     per_chunk = max(1, _MC_BLOCK // (m * n))
     step = max(1, _MC_BLOCK // n)
     plain = any(nn is None for _, nn in pairs)
-    pos = chunk = 0
-    while pos < n_codebooks:
+    best = np.full((len(pairs), n_codebooks), -np.inf)
+    for chunk, pos in enumerate(range(0, n_codebooks, per_chunk)):
         take = min(per_chunk, n_codebooks - pos)
         gen = stream.derive(chunk).generator()
-        best = np.full((len(pairs), take), -np.inf)
+        out = best[:, pos:pos + take]
         for lo in range(0, m, step):
             g = gen.standard_normal((take, min(step, m - lo), n, 2))
             f = g[..., 0] + 1j * g[..., 1]
@@ -106,10 +107,8 @@ def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream):
                 num = np.einsum("cki,ij,ckj->ck", fc, mm, f).real
                 den = norm2 if nn is None else np.einsum(
                     "cki,ij,ckj->ck", fc, nn, f).real
-                np.maximum(best[k], (num / den).max(axis=1), out=best[k])
-        yield best
-        pos += take
-        chunk += 1
+                np.maximum(out[k], (num / den).max(axis=1), out=out[k])
+    return best
 
 
 def select(book: Codebook, channel: ChannelRealization, rho: float) -> BeamSelection:

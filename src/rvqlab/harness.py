@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,6 @@ import scipy
 from . import loss, ordering, skew
 from .channel import (FixedSpectrumModel, IIDModel, KroneckerModel,
                       normalize_power, sample_channel)
-from .codebook import best_quotients
 from .errors import RvqlabError
 from .rng import RngStream
 from .wnorm import WeightedNormLaw, cdf, empirical_cdf, empirical_cdf_eval
@@ -39,8 +39,8 @@ _BETA_GRID = (0.5, 1.0, 1.5, 2.0)
 _FIG4_LAM_R = [1.6, 1.2, 0.8, 0.4]
 _FIG4_PROFILES = ([16.0, 0.0, 0.0, 0.0], [8.0, 8.0, 0.0, 0.0],
                   [16.0 / 3] * 3 + [0.0], [4.0, 4.0, 4.0, 4.0])
-_FIG6_LAM_T = [1.6, 1.2, 0.8, 0.4]
-_FIG6_LAM_R = [1.75, 1.25, 0.75, 0.25]
+_FIG6_MODEL = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
+                             lambda_r=np.array([1.75, 1.25, 0.75, 0.25]))
 _FIG6_SIGMA_T = np.diag([6.4, 4.8, 3.2, 1.6])
 
 
@@ -89,59 +89,82 @@ def _bits(config: ExperimentConfig, default) -> list:
     return [int(b) for b in config.bits_range]
 
 
+def _is(v, kind) -> bool:
+    """isinstance that does not let a bool pass for a number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def validate(config: ExperimentConfig) -> list:
     """Collect config violations without running anything."""
     issues = []
-    if config.experiment not in PRESET_NAMES:
-        issues.append(f"experiment: unknown preset {config.experiment!r}")
-    if not isinstance(config.seed, int) or not 0 <= config.seed < 2 ** 64:
+    exp = config.experiment
+    if not isinstance(exp, str) or exp not in PRESET_NAMES:
+        issues.append(f"experiment: unknown preset {exp!r}")
+    if not _is(config.seed, int) or not 0 <= config.seed < 2 ** 64:
         issues.append("seed: must be a 64-bit unsigned integer")
-    if config.bits_range is not None:
-        for b in config.bits_range:
-            if not isinstance(b, int) or b < 0:
-                issues.append(f"bits_range: bad entry {b!r}")
-            elif b > 24:
-                issues.append(f"bits_range: {b} exceeds the generation cap 24")
-            elif b > 20 and config.experiment in ("fig2", "fig5a", "fig5b"):
-                issues.append(f"bits_range: {b} exceeds the closed-form cap 20")
-    if config.rho is not None and config.rho <= 0:
-        issues.append("rho: must be positive")
-    for key in ("channels", "codebooks", "samples"):
-        v = config.trials.get(key) if config.trials else None
-        if v is not None and (not isinstance(v, int) or v < 1):
+    bits = config.bits_range
+    if bits is not None and (not isinstance(bits, list) or not bits):
+        issues.append("bits_range: must be a nonempty list of integers")
+    for b in bits if isinstance(bits, list) else ():
+        if not _is(b, int) or b < 0:
+            issues.append(f"bits_range: bad entry {b!r}")
+        elif b > 24:
+            issues.append(f"bits_range: {b} exceeds the generation cap 24")
+        elif b > 20 and exp in ("fig2", "fig5a", "fig5b"):
+            issues.append(f"bits_range: {b} exceeds the closed-form cap 20")
+    if config.rho is not None and not (_is(config.rho, (int, float))
+                                       and 0 < config.rho < math.inf):
+        issues.append("rho: must be a positive finite number")
+    trials = config.trials if isinstance(config.trials, dict) else {}
+    if config.trials is not None and not isinstance(config.trials, dict):
+        issues.append("trials: must be an object")
+    for key, v in trials.items():
+        if key not in ("channels", "codebooks", "samples"):
+            issues.append(f"trials.{key}: unknown key")
+        elif not _is(v, int) or v < 1:
             issues.append(f"trials.{key}: must be a positive integer")
-    mc_presets = {"fig2", "fig4a", "fig4b", "fig5a", "fig5b",
-                  "fig6a", "fig6b", "fig6c", "fig6d", "custom"}
-    if config.experiment in mc_presets:
-        if _trial(config, "codebooks", 100) < 2:
-            issues.append("trials.codebooks: at least 2 needed for a standard error")
-    if config.experiment in {"fig4a", "fig4b", "fig6c", "fig6d", "custom"}:
-        if _trial(config, "channels", 100) < 2:
-            issues.append("trials.channels: at least 2 needed for a standard error")
-    if config.experiment == "custom" and config.model is None:
+    if exp not in ("fig1", "fig3") and trials.get("codebooks") == 1:
+        issues.append("trials.codebooks: at least 2 needed for a standard error")
+    if (exp in ("fig4a", "fig4b", "fig6c", "fig6d", "custom")
+            and trials.get("channels") == 1):
+        issues.append("trials.channels: at least 2 needed for a standard error")
+    if exp == "custom" and config.model is None:
         issues.append("model: required for the custom preset")
-    if config.threads < 1:
-        issues.append("threads: must be at least 1")
+    if config.model is not None:
+        try:
+            model_from_dict(config.model)
+        except ConfigError as e:
+            issues.append(str(e))
+    if not isinstance(config.output_dir, str):
+        issues.append("output_dir: must be a string")
+    if not _is(config.threads, int) or config.threads < 1:
+        issues.append("threads: must be a positive integer")
     return issues
 
 
 def model_from_dict(desc: dict):
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("model: needs a 'kind' field")
-    kind = desc["kind"]
-    if kind == "iid":
-        m = IIDModel(n_t=int(desc["n_t"]), n_r=int(desc["n_r"]))
-    elif kind == "kronecker":
-        m = KroneckerModel(lambda_t=np.asarray(desc["lambda_t"], dtype=float),
-                           lambda_r=np.asarray(desc["lambda_r"], dtype=float))
-    elif kind == "fixed_spectrum":
-        m = FixedSpectrumModel(lam=np.asarray(desc["lam"], dtype=float),
-                               n_r=desc.get("n_r"),
-                               frozen=bool(desc.get("frozen", False)))
-    else:
-        raise ConfigError(f"model.kind: unknown kind {kind!r}")
-    if "rho_c" in desc:
-        m = normalize_power(m, float(desc["rho_c"]))
+    """Channel model of a config's ``model`` object; any defect is a ConfigError."""
+    if not isinstance(desc, dict):
+        raise ConfigError("model: must be an object")
+    try:
+        kind = desc["kind"]
+        if kind == "iid":
+            m = IIDModel(n_t=int(desc["n_t"]), n_r=int(desc["n_r"]))
+        elif kind == "kronecker":
+            m = KroneckerModel(lambda_t=np.asarray(desc["lambda_t"], dtype=float),
+                               lambda_r=np.asarray(desc["lambda_r"], dtype=float))
+        elif kind == "fixed_spectrum":
+            m = FixedSpectrumModel(lam=np.asarray(desc["lam"], dtype=float),
+                                   n_r=desc.get("n_r"),
+                                   frozen=bool(desc.get("frozen", False)))
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        if "rho_c" in desc:
+            m = normalize_power(m, float(desc["rho_c"]))
+    except KeyError as e:
+        raise ConfigError(f"model: missing field {e}") from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"model: {e}") from None
     return m
 
 
@@ -157,30 +180,13 @@ def _frozen_realization(lam):
 
 def skew_candidates_avg(model, candidates, bits, n_channels, n_codebooks,
                         stream: RngStream):
-    """Channel-averaged gain loss for several skews on shared random draws.
-
-    All candidates see the same channels and the same codebook Gaussians
-    (common random numbers), so candidate differences are low-noise.
-    ``candidates`` is a list of (label, SkewMatrix-or-None); None means the
-    unskewed codebook.  Returns [(label, mean, stderr)] with the spread taken
-    over per-channel means.
-    """
-    if n_channels < 2:
-        raise ValueError("need at least 2 channel draws for a standard error")
-    mats = [None if sk is None else (sk.a.conj().T, sk.a) for _, sk in candidates]
-    per_ch = np.empty((len(candidates), n_channels))
-    for i in range(n_channels):
-        sub = stream.derive(i)
-        ch = sample_channel(model, sub.derive("channel").generator())
-        top = float(ch.spectrum[0])
-        pairs = [(ch.gram, None) if mat is None
-                 else (mat[0] @ ch.gram @ mat[1], mat[0] @ mat[1]) for mat in mats]
-        acc = np.zeros(len(candidates))
-        for best in best_quotients(pairs, bits, n_codebooks, sub.derive("codebooks")):
-            acc += (1.0 - best / top).sum(axis=1)
-        per_ch[:, i] = acc / n_codebooks
-    return [(label, est.value, est.stderr) for (label, _), est in
-            zip(candidates, map(loss.LossEstimate.from_samples, per_ch))]
+    """Channel-averaged gain loss of (label, SkewMatrix-or-None) candidates
+    on shared random draws, as [(label, mean, stderr)]; None is plain RVQ."""
+    ests = loss.channel_averaged_losses(
+        model, [None if sk is None else sk.a for _, sk in candidates], bits,
+        n_channels, n_codebooks, stream)
+    return [(label, est.value, est.stderr)
+            for (label, _), est in zip(candidates, ests)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +350,14 @@ def _build_fig6_frozen(config, lam, tag):
     for alpha in _ALPHA_GRID:
         res = skew.optimize_skew_a1(model, alpha, 1,
                                     seed_stream.derive(f"alpha{alpha}"), budget)
-        candidates.append(("a1", res.skew, alpha))
+        candidates.append(("a1", res.skew.a, alpha))
 
     def task(b):
         def fn(stream):
-            rows = []
-            for label, sk, alpha in candidates:
-                if sk is None:
-                    est = loss.delta1_mc(ch, b, n_cb, stream)
-                else:
-                    est = skew.delta1_sk_mc(ch, sk, b, n_cb, stream)
-                rows.append([label, alpha, b, est.value, est.stderr])
-            return rows
+            ests = loss.sampled_losses(ch, [c[1] for c in candidates], b, n_cb,
+                                       stream)
+            return [[label, alpha, b, est.value, est.stderr]
+                    for (label, _, alpha), est in zip(candidates, ests)]
         return fn
 
     tasks = [(f"{tag}/b{b}", task(b)) for b in bits]
@@ -370,66 +372,50 @@ def _build_fig6b(config):
     return _build_fig6_frozen(config, [1.6, 1.4, 1.2, 1.0], "fig6b")
 
 
-def _fig6_model():
-    return KroneckerModel(lambda_t=np.asarray(_FIG6_LAM_T, dtype=float),
-                          lambda_r=np.asarray(_FIG6_LAM_R, dtype=float))
+def _skew_average_tasks(tag, model, candidates, bits, n_ch, n_cb):
+    """fig6c/fig6d: one channel-averaged row per (label, skew, alpha, beta)."""
+    def task(b):
+        def fn(stream):
+            triples = skew_candidates_avg(model, [c[:2] for c in candidates],
+                                          b, n_ch, n_cb, stream)
+            return [[c[0], c[2], c[3], b, mean, se]
+                    for c, (_, mean, se) in zip(candidates, triples)]
+        return fn
+
+    tasks = [(f"{tag}/b{b}", task(b)) for b in bits]
+    return ["candidate", "alpha", "beta", "b", "delta_snr", "stderr"], tasks
 
 
 def _build_fig6c(config):
-    bits = _bits(config, (1, 4))
-    n_ch = _trial(config, "channels", 400)
-    n_cb = _trial(config, "codebooks", 100)
     candidates = [("rvq", None, "", "")]
     for beta in _BETA_GRID:
         for alpha in _ALPHA_GRID:
             sk = skew.build_skew_a2(_FIG6_SIGMA_T, alpha, beta)
             candidates.append(("a2", sk, alpha, beta))
-
-    def task(b):
-        def fn(stream):
-            triples = skew_candidates_avg(_fig6_model(),
-                                          [(c[0], c[1]) for c in candidates],
-                                          b, n_ch, n_cb, stream)
-            return [[c[0], c[2], c[3], b, mean, se]
-                    for c, (_, mean, se) in zip(candidates, triples)]
-        return fn
-
-    tasks = [(f"fig6c/b{b}", task(b)) for b in bits]
-    return ["candidate", "alpha", "beta", "b", "delta_snr", "stderr"], tasks
+    return _skew_average_tasks("fig6c", _FIG6_MODEL, candidates,
+                               _bits(config, (1, 4)),
+                               _trial(config, "channels", 400),
+                               _trial(config, "codebooks", 100))
 
 
 def _build_fig6d(config):
-    bits = _bits(config, range(1, 7))
-    n_ch = _trial(config, "channels", 1000)
-    n_cb = _trial(config, "codebooks", 100)
     budget = _trial(config, "samples", 2400)
-    model = _fig6_model()
     design = RngStream(config.seed).derive("fig6d-design")
     candidates = [("rvq", None, "", "")]
     for alpha in (1.0, 0.5, 0.0):
-        res = skew.optimize_skew_a1(model, alpha, 64,
+        res = skew.optimize_skew_a1(_FIG6_MODEL, alpha, 64,
                                     design.derive(f"alpha{alpha}"), budget)
         candidates.append(("a1", res.skew, alpha, ""))
     for beta in _BETA_GRID:
         candidates.append(("a2", skew.build_skew_a2(_FIG6_SIGMA_T, 1.0, beta),
                            1.0, beta))
-
-    def task(b):
-        def fn(stream):
-            triples = skew_candidates_avg(model,
-                                          [(c[0], c[1]) for c in candidates],
-                                          b, n_ch, n_cb, stream)
-            return [[c[0], c[2], c[3], b, mean, se]
-                    for c, (_, mean, se) in zip(candidates, triples)]
-        return fn
-
-    tasks = [(f"fig6d/b{b}", task(b)) for b in bits]
-    return ["candidate", "alpha", "beta", "b", "delta_snr", "stderr"], tasks
+    return _skew_average_tasks("fig6d", _FIG6_MODEL, candidates,
+                               _bits(config, range(1, 7)),
+                               _trial(config, "channels", 1000),
+                               _trial(config, "codebooks", 100))
 
 
 def _build_custom(config):
-    if config.model is None:
-        raise ConfigError("model: required for the custom preset")
     model = model_from_dict(config.model)
     bits = _bits(config, range(1, 7))
     rho = config.rho if config.rho is not None else 1.0

@@ -236,28 +236,10 @@ def epsilon_b_log2(lam, bits: int) -> float:
             - math.log2(appx))
 
 
-def _mc_samples(channel: ChannelRealization, bits: int, n_codebooks: int,
-                stream: RngStream, post) -> np.ndarray:
-    """post(best gain) for each fresh codebook, drawn by the shared kernel."""
-    return np.concatenate([post(best[0]) for best in best_quotients(
-        [(channel.gram, None)], bits, n_codebooks, stream)])
-
-
-def _gain_loss(channel: ChannelRealization):
-    top = float(channel.spectrum[0])
-    return lambda best: (top - best) / top
-
-
 def delta1_mc(channel: ChannelRealization, bits: int, n_codebooks: int,
               stream: RngStream) -> LossEstimate:
     """Monte Carlo mean gain loss over fresh codebooks for one channel."""
-    _check_bits(bits)
-    if n_codebooks < 2:
-        raise ValueError("need at least 2 codebooks for a standard error")
-    if channel.spectrum[0] <= 0:
-        raise ValueError("zero channel")
-    return LossEstimate.from_samples(
-        _mc_samples(channel, bits, n_codebooks, stream, _gain_loss(channel)))
+    return sampled_losses(channel, [None], bits, n_codebooks, stream)[0]
 
 
 def delta1_closed(lam, bits: int) -> LossEstimate:
@@ -446,58 +428,87 @@ def delta2_asympt(lam, rho: float, bits: int, method: str = "prop3") -> LossEsti
     raise ValueError(f"unknown method {method!r}")
 
 
-def _rate_loss(channel: ChannelRealization, rho: float):
-    i_perf = math.log2(1.0 + rho * float(channel.spectrum[0]))
-    return lambda best: i_perf - np.log2(1.0 + rho * best)
-
-
 def delta2_mc(channel: ChannelRealization, rho: float, bits: int,
               n_codebooks: int, stream: RngStream) -> LossEstimate:
     """Monte Carlo mean rate loss over fresh codebooks for one channel."""
-    _check_bits(bits)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if n_codebooks < 2:
-        raise ValueError("need at least 2 codebooks for a standard error")
-    if channel.spectrum[0] <= 0:
-        raise ValueError("zero channel")
-    return LossEstimate.from_samples(
-        _mc_samples(channel, bits, n_codebooks, stream, _rate_loss(channel, rho)))
+    return sampled_losses(channel, [None], bits, n_codebooks, stream, rho)[0]
 
 
 # ---------------------------------------------------------------------------
-# channel-averaged losses
+# sampled losses: every Monte Carlo estimate goes through these two functions
 
 
-def _channel_average(model: ChannelModel, bits: int, n_channels: int,
-                     n_codebooks: int, stream: RngStream, post_of) -> LossEstimate:
-    if n_channels < 2:
-        raise ValueError("need at least 2 channel draws for a standard error")
-    means = np.empty(n_channels)
+def _check_sampling(bits: int, rho, n_draws: int, what: str):
+    _check_bits(bits)
+    if rho is not None and rho <= 0:
+        raise ValueError("rho must be positive")
+    if n_draws < 2:
+        raise ValueError(f"need at least 2 {what} for a standard error")
+
+
+def _loss_samples(channel: ChannelRealization, skews, bits: int,
+                  n_codebooks: int, stream: RngStream, rho) -> np.ndarray:
+    """(len(skews), n_codebooks) losses of fresh codebooks on shared codewords."""
+    top = float(channel.spectrum[0])
+    if top <= 0:
+        raise ValueError("zero channel")
+    gram = channel.gram
+    if any(a is not None and a.shape != gram.shape for a in skews):
+        raise ValueError("skew and channel dimensions disagree")
+    best = best_quotients([(gram, None) if a is None
+                           else (a.conj().T @ gram @ a, a.conj().T @ a)
+                           for a in skews], bits, n_codebooks, stream)
+    if rho is None:
+        return (top - best) / top
+    return math.log2(1.0 + rho * top) - np.log2(1.0 + rho * best)
+
+
+def sampled_losses(channel: ChannelRealization, skews, bits: int,
+                   n_codebooks: int, stream: RngStream,
+                   rho: float | None = None) -> list:
+    """One Monte Carlo ``LossEstimate`` per codebook for one channel.
+
+    ``skews`` lists the codebooks: None is plain RVQ, a matrix A selects on
+    (f'A'GAf)/(f'A'Af).  All share their codewords (common random numbers).
+    ``rho`` None gives the gain loss (top - best)/top, a value the rate loss
+    in bits at that power.
+    """
+    _check_sampling(bits, rho, n_codebooks, "codebooks")
+    return [LossEstimate.from_samples(s) for s in
+            _loss_samples(channel, skews, bits, n_codebooks, stream, rho)]
+
+
+def channel_averaged_losses(model: ChannelModel, skews, bits: int,
+                            n_channels: int, n_codebooks: int,
+                            stream: RngStream, rho: float | None = None) -> list:
+    """Channel- and codebook-averaged ``sampled_losses`` of several codebooks.
+
+    Channel i draws from stream.derive(i): its "channel" child gives the
+    channel and its "codebooks" child the codewords every codebook shares.
+    The standard error is taken over the per-channel means.
+    """
+    _check_sampling(bits, rho, n_channels, "channel draws")
+    means = np.empty((len(skews), n_channels))
     for i in range(n_channels):
         sub = stream.derive(i)
         ch = sample_channel(model, sub.derive("channel").generator())
-        means[i] = _mc_samples(ch, bits, n_codebooks, sub.derive("codebooks"),
-                               post_of(ch)).mean()
-    return LossEstimate.from_samples(means)
+        means[:, i] = [s.mean() for s in _loss_samples(
+            ch, skews, bits, n_codebooks, sub.derive("codebooks"), rho)]
+    return [LossEstimate.from_samples(row) for row in means]
 
 
 def avg_delta_snr(model: ChannelModel, bits: int, n_channels: int,
                   n_codebooks: int, stream: RngStream) -> LossEstimate:
     """Channel- and codebook-averaged normalized gain loss."""
-    _check_bits(bits)
-    return _channel_average(model, bits, n_channels, n_codebooks, stream,
-                            _gain_loss)
+    return channel_averaged_losses(model, [None], bits, n_channels,
+                                   n_codebooks, stream)[0]
 
 
 def avg_delta_mi(model: ChannelModel, rho: float, bits: int, n_channels: int,
                  n_codebooks: int, stream: RngStream) -> LossEstimate:
     """Channel- and codebook-averaged rate loss in bits."""
-    _check_bits(bits)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return _channel_average(model, bits, n_channels, n_codebooks, stream,
-                            lambda ch: _rate_loss(ch, rho))
+    return channel_averaged_losses(model, [None], bits, n_channels,
+                                   n_codebooks, stream, rho)[0]
 
 
 def hardening_approx(sigma_spectrum) -> HardeningApprox:

@@ -19,7 +19,7 @@ from .codebook import best_quotients
 from .errors import (DegenerateSpectrumError, SingularCovarianceError,
                      SingularSkewError, UnsupportedModelError)
 from .linalg import hermitian_eig
-from .loss import LossEstimate
+from .loss import LossEstimate, sampled_losses
 from .quadrature import adaptive_simpson
 from .rng import RngStream
 
@@ -99,28 +99,15 @@ def effective_spectra(channel: ChannelRealization, skew: SkewMatrix):
 
 def sample_quotients(channel: ChannelRealization, skew: SkewMatrix,
                      n_samples: int, stream: RngStream) -> np.ndarray:
-    """Generalized Rayleigh quotients of isotropic directions (diagnostic)."""
-    m, n = _pair(channel, skew)
-    g = stream.generator().standard_normal((n_samples, m.shape[0], 2))
-    f = g[..., 0] + 1j * g[..., 1]
-    num = np.einsum("ki,ij,kj->k", f.conj(), m, f).real
-    den = np.einsum("ki,ij,kj->k", f.conj(), n, f).real
-    return num / den
+    """Generalized Rayleigh quotients of isotropic directions (diagnostic):
+    the best quotients of one-codeword codebooks, drawn by the kernel."""
+    return best_quotients([_pair(channel, skew)], 0, n_samples, stream)[0]
 
 
 def delta1_sk_mc(channel: ChannelRealization, skew: SkewMatrix, bits: int,
                  n_codebooks: int, stream: RngStream) -> LossEstimate:
     """Monte Carlo gain loss of the skewed codebook for one channel."""
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    if n_codebooks < 2:
-        raise ValueError("need at least 2 codebooks for a standard error")
-    top = float(channel.spectrum[0])
-    if top <= 0:
-        raise ValueError("zero channel")
-    out = np.concatenate([1.0 - best[0] / top for best in best_quotients(
-        [_pair(channel, skew)], bits, n_codebooks, stream)])
-    return LossEstimate.from_samples(out)
+    return sampled_losses(channel, [skew.a], bits, n_codebooks, stream)[0]
 
 
 def _pencil_pair(b: np.ndarray) -> tuple[float, float]:

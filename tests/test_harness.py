@@ -6,8 +6,8 @@ import pytest
 
 from rvqlab.channel import FixedSpectrumModel, IIDModel, KroneckerModel
 from rvqlab.cli import main
-from rvqlab.harness import (ConfigError, ExperimentConfig, model_from_dict,
-                            run, validate)
+from rvqlab.harness import (PRESET_NAMES, ConfigError, ExperimentConfig,
+                            model_from_dict, run, validate)
 
 
 def test_config_round_trip():
@@ -53,6 +53,39 @@ def test_validate_flags_problems():
 
 def test_validate_clean_config():
     assert validate(ExperimentConfig(experiment="fig6d")) == []
+
+
+_BAD_CONFIGS = [
+    ('{"experiment": "fig1", "threads": "4"}', "threads"),
+    ('{"experiment": "fig1", "trials": [1]}', "trials"),
+    ('{"experiment": "fig2", "bits_range": 5}', "bits_range"),
+    ('{"experiment": "fig5b", "bits_range": []}', "bits_range"),
+    ('{"experiment": "fig5a", "rho": "x"}', "rho"),
+    ('{"experiment": "fig1", "seed": true}', "seed"),
+    ('{"experiment": "fig2", "trials": {"codebook": 5}}', "trials.codebook"),
+    ('{"experiment": "fig1", "output_dir": 5}', "output_dir"),
+    ('{"experiment": ["fig1"]}', "experiment"),
+    ('{"experiment": "custom", "model": {"kind": "iid"}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "kronecker", '
+     '"lambda_t": [1.0, 0.5]}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "iid", "n_t": "x", '
+     '"n_r": 2}}', "model"),
+]
+
+
+@pytest.mark.parametrize("text,field", _BAD_CONFIGS)
+def test_bad_config_exits_cleanly(tmp_path, monkeypatch, capsys, text, field):
+    monkeypatch.chdir(tmp_path)
+    assert any(s.startswith(field) for s in
+               validate(ExperimentConfig.from_json(text)))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert field in out and "error:" in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
 
 
 def test_model_from_dict_kinds():
@@ -155,3 +188,34 @@ def test_cli_run_seed_override(tmp_path):
 def test_cli_reports_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+_IID = {"kind": "iid", "n_t": 3, "n_r": 2}
+_TINY = {
+    "fig1": dict(trials={"samples": 500}),
+    "fig2": dict(bits_range=[1, 3], trials={"codebooks": 10}),
+    "fig3": dict(bits_range=[0, 1]),
+    "fig4a": dict(bits_range=[1, 2], trials={"channels": 2, "codebooks": 4}),
+    "fig4b": dict(bits_range=[1, 2], trials={"channels": 2, "codebooks": 4}),
+    "fig5a": dict(bits_range=[1, 2], trials={"codebooks": 4}),
+    "fig5b": dict(bits_range=[2], trials={"codebooks": 4}),
+    "fig6a": dict(bits_range=[1, 2], trials={"codebooks": 4, "samples": 16}),
+    "fig6b": dict(bits_range=[1, 2], trials={"codebooks": 4, "samples": 16}),
+    # 300 codebooks at b=6 span two kernel chunks
+    "fig6c": dict(bits_range=[1, 6], trials={"channels": 2, "codebooks": 300}),
+    "fig6d": dict(bits_range=[1, 2],
+                  trials={"channels": 2, "codebooks": 4, "samples": 16}),
+    "custom": dict(model=_IID, bits_range=[1, 2],
+                   trials={"channels": 2, "codebooks": 4}),
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_preset_is_thread_invariant(tmp_path, preset):
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run(ExperimentConfig(experiment=preset, seed=3, output_dir=str(out),
+                             threads=threads, **_TINY[preset]))
+        outs.append((out / f"{preset}.csv").read_bytes())
+    assert outs[0] == outs[1]

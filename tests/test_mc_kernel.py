@@ -8,7 +8,7 @@ from helpers import complex_gaussian, diag_channel, random_full_rank
 from rvqlab.channel import KroneckerModel
 from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
-from rvqlab.loss import avg_delta_snr, delta1_mc
+from rvqlab.loss import avg_delta_snr, delta1_mc, sampled_losses
 from rvqlab.rng import RngStream
 from rvqlab.skew import SkewMatrix, delta1_sk_mc
 
@@ -48,8 +48,8 @@ def test_sliced_codebooks_equal_one_unsliced_draw():
     pairs = _quotient_pairs()
     stream = RngStream(9).derive("sliced")
     shapes = []
-    got = np.concatenate(list(best_quotients(
-        pairs, bits, n_codebooks, _RecordingStream(stream, shapes))), axis=1)
+    got = best_quotients(pairs, bits, n_codebooks,
+                         _RecordingStream(stream, shapes))
     # each codebook is larger than the block, so it is drawn in slices
     assert len(shapes) > n_codebooks
     assert all(s[1] < 1 << bits for s in shapes)
@@ -65,21 +65,26 @@ def test_sliced_codebooks_equal_one_unsliced_draw():
     np.testing.assert_array_equal(got, want)
 
 
+def _pairs_of(estimates):
+    return [[e.value, e.stderr] for e in estimates]
+
+
 def test_callers_agree_on_shared_draws():
+    stream = RngStream(13).derive("shared")
+    gen = stream.derive("skews").generator()
+    sk1, sk2 = (SkewMatrix(random_full_rank(gen, 4)) for _ in range(2))
+    ch = diag_channel([4.0, 3.0, 2.0, 1.0])
+    # one kernel call for three codebooks equals three separate calls
+    got = sampled_losses(ch, [None, sk1.a, sk2.a], 5, 30, stream)
+    want = [delta1_mc(ch, 5, 30, stream), delta1_sk_mc(ch, sk1, 5, 30, stream),
+            delta1_sk_mc(ch, sk2, 5, 30, stream)]
+    np.testing.assert_array_equal(_pairs_of(got), _pairs_of(want))
+
     model = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
                            lambda_r=np.array([1.5, 1.0, 0.5]))
-    stream = RngStream(13).derive("shared")
     est = avg_delta_snr(model, 3, 4, 40, stream)
-    rows = skew_candidates_avg(model, [("rvq", None), ("id", SkewMatrix(np.eye(4)))],
-                               3, 4, 40, stream)
-    for _, mean, se in rows:
-        np.testing.assert_allclose([mean, se], [est.value, est.stderr], rtol=1e-13)
-
-    ch = diag_channel([4.0, 3.0, 2.0, 1.0])
-    plain = delta1_mc(ch, 5, 30, stream)
-    skewed = delta1_sk_mc(ch, SkewMatrix(np.eye(4)), 5, 30, stream)
-    np.testing.assert_allclose([skewed.value, skewed.stderr],
-                               [plain.value, plain.stderr], rtol=1e-13)
+    rows = skew_candidates_avg(model, [("rvq", None), ("a", sk1)], 3, 4, 40, stream)
+    np.testing.assert_array_equal(rows[0][1:], [est.value, est.stderr])
 
 
 def test_sampled_loss_memory_is_bounded():
