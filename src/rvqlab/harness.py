@@ -112,6 +112,8 @@ def validate(config: ExperimentConfig) -> list:
             issues.append(f"bits_range: {b} exceeds the generation cap 24")
         elif b > 20 and exp in ("fig2", "fig5a", "fig5b"):
             issues.append(f"bits_range: {b} exceeds the closed-form cap 20")
+    if exp == "fig5b" and isinstance(bits, list) and len(bits) > 1:
+        issues.append("bits_range: fig5b takes a single entry")
     if config.rho is not None and not (_is(config.rho, (int, float))
                                        and 0 < config.rho < math.inf):
         issues.append("rho: must be a positive finite number")
@@ -148,6 +150,12 @@ def model_from_dict(desc: dict):
         raise ConfigError("model: must be an object")
     try:
         kind = desc["kind"]
+        for key in ("n_t", "n_r"):  # counts are checked, never truncated
+            v = desc.get(key)
+            if v is not None and not (_is(v, (int, float)) and float(v).is_integer()):
+                raise ValueError(f"{key} must be a whole number, got {v!r}")
+        if not isinstance(desc.get("frozen", False), bool):
+            raise ValueError("frozen must be true or false")
         if kind == "iid":
             m = IIDModel(n_t=int(desc["n_t"]), n_r=int(desc["n_r"]))
         elif kind == "kronecker":
@@ -156,7 +164,7 @@ def model_from_dict(desc: dict):
         elif kind == "fixed_spectrum":
             m = FixedSpectrumModel(lam=np.asarray(desc["lam"], dtype=float),
                                    n_r=desc.get("n_r"),
-                                   frozen=bool(desc.get("frozen", False)))
+                                   frozen=desc.get("frozen", False))
         else:
             raise ValueError(f"unknown kind {kind!r}")
         if "rho_c" in desc:
@@ -203,7 +211,7 @@ def _build_fig1(config):
             xs = np.linspace(law.lam[-1], law.lam[0], n_grid)
             samples = empirical_cdf(law, n_samples, stream)
             emp = empirical_cdf_eval(samples, xs)
-            return [[len(lam), x, cdf(law, x), e] for x, e in zip(xs, emp)]
+            return [[len(lam), x, c, e] for x, c, e in zip(xs, cdf(law, xs), emp)]
         return fn
 
     tasks = [(f"fig1/n{len(lam)}", task(lam)) for lam in _FIXED_SPECTRA]

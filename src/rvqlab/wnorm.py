@@ -4,6 +4,7 @@ For a unit-norm isotropic complex n-vector f and a spectrum l1 >= ... >= ln,
 the random variable w = sum_i l_i |f_i|^2 has a piecewise-polynomial law on
 [ln, l1].  Closed forms are implemented for n = 2, 3, 4 (cdf and pdf) and for
 the top segment [l2, l1] at any n; everything else falls back to sampling.
+Both take a float or an array of points.
 
 Branch bookkeeping: a segment of zero width (tied eigenvalues) is skipped, so
 spectra with repeated trailing values evaluate through the surviving branches.
@@ -56,57 +57,66 @@ def _require_gaps(lam, *pairs):
             "branch denominator gap below 1e-9 of the leading eigenvalue")
 
 
-def _top_cdf(lam, x):
-    # 1 - (l1-x)^(n-1) / prod_{j>=2} (l1-lj), valid on [l2, l1]
-    _require_gaps(lam, *((0, j) for j in range(1, lam.size)))
-    prod = np.prod(lam[0] - lam[1:])
-    return 1.0 - (lam[0] - x) ** (lam.size - 1) / prod
+# libm pow, as the scalar formulas always had: x ** k on an array rounds
+# differently in the last bit
+_pow = np.float_power
 
 
 def _int_rise_fall(a, b, lo, hi):
     # integral of (t-a)(b-t) dt from lo to hi, computed in shifted form
     u0, u1 = lo - a, hi - a
     w = b - a
-    return w * (u1 * u1 - u0 * u0) / 2.0 - (u1 ** 3 - u0 ** 3) / 3.0
+    return w * (u1 * u1 - u0 * u0) / 2.0 - (_pow(u1, 3) - u0 ** 3) / 3.0
 
 
-def cdf(law: WeightedNormLaw, x: float) -> float:
-    """Exact CDF at x.
+def _by_branch(lam, xs, out, rest, branches):
+    """Fill ``out`` where ``rest`` holds from (mask, gap pairs, formula)
+    branches; each takes the points of its mask no earlier one took, and checks
+    its gaps only when it takes some.  A 0-d ``out`` gives a float."""
+    for mask, gaps, formula in branches:
+        sel = rest & mask
+        if sel.any():
+            _require_gaps(lam, *gaps)
+            out[sel] = formula(xs[sel])
+        rest = rest & ~sel
+    return float(out) if out.ndim == 0 else out
+
+
+def cdf(law: WeightedNormLaw, x):
+    """Exact CDF at x, a float or an array of them.
 
     n in {2, 3, 4}: any x.  n >= 5: only x at or above l2 (or at/below the
     support bottom); interior points below l2 raise, callers sample instead.
     """
-    lam = law.lam
-    n = law.n
-    if x <= lam[-1]:
-        return 0.0
-    if x >= lam[0]:
-        return 1.0
+    lam, n = law.lam, law.n
+    xs = np.asarray(x, dtype=float)
+    out = np.where(xs >= lam[0], 1.0, 0.0)
+    inside = (xs > lam[-1]) & (xs < lam[0])
+    l1, l2 = lam[:2]
     if n == 2:
-        _require_gaps(lam, (0, 1))
-        return (x - lam[1]) / (lam[0] - lam[1])
+        top = lambda t: (t - l2) / (l1 - l2)
+    else:
+        top = lambda t: 1.0 - _pow(l1 - t, n - 1) / np.prod(l1 - lam[1:])
+    branches = [(xs >= l2, [(0, j) for j in range(1, n)], top)]
     if n == 3:
-        if x >= lam[1]:
-            return _top_cdf(lam, x)
-        _require_gaps(lam, (0, 2), (1, 2))
-        return (x - lam[2]) ** 2 / ((lam[0] - lam[2]) * (lam[1] - lam[2]))
-    if n == 4:
-        return _cdf4(lam, x)
-    if x >= lam[1]:
-        return _top_cdf(lam, x)
-    raise UnsupportedRegionError(
-        f"no closed-form CDF below the second eigenvalue for n={n}")
+        l3 = lam[2]
+        branches.append((True, [(0, 2), (1, 2)],
+                         lambda t: _pow(t - l3, 2) / ((l1 - l3) * (l2 - l3))))
+    elif n == 4:
+        l3, l4 = lam[2:]
+        branches += [(xs <= l3, [(0, 3), (1, 3), (2, 3)],
+                      lambda t: _pow(t - l4, 3) / ((l1 - l4) * (l2 - l4) * (l3 - l4))),
+                     (True, [(0, 2), (1, 3), (1, 2), (0, 3)],
+                      lambda t: _cdf4_middle(lam, t))]
+    elif n > 4 and np.any(inside & (xs < l2)):
+        raise UnsupportedRegionError(
+            f"no closed-form CDF below the second eigenvalue for n={n}")
+    return _by_branch(lam, xs, out, inside, branches)
 
 
-def _cdf4(lam, x):
-    l1, l2, l3, l4 = lam
-    if x >= l2:
-        return _top_cdf(lam, x)
-    if x <= l3:
-        _require_gaps(lam, (0, 3), (1, 3), (2, 3))
-        return (x - l4) ** 3 / ((l1 - l4) * (l2 - l4) * (l3 - l4))
+def _cdf4_middle(lam, x):
     # middle segment [l3, l2]
-    _require_gaps(lam, (0, 2), (1, 3), (1, 2), (0, 3))
+    l1, l2, l3, l4 = lam
     if l3 - l4 >= GAP_RTOL * l1:
         base = (l3 - l4) ** 2 / ((l1 - l4) * (l2 - l4))
     else:
@@ -117,33 +127,34 @@ def _cdf4(lam, x):
     return base + k * part
 
 
-def pdf(law: WeightedNormLaw, x: float) -> float:
-    """Exact density at x; n in {2, 3, 4} only."""
-    lam = law.lam
-    n = law.n
+def pdf(law: WeightedNormLaw, x):
+    """Exact density at x, a float or an array of them; n in {2, 3, 4} only."""
+    lam, n = law.lam, law.n
     if n not in (2, 3, 4):
         raise UnsupportedModelError(f"no closed-form density for n={n}")
-    if x < lam[-1] or x > lam[0]:
-        return 0.0
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros(xs.shape)
+    inside = (xs >= lam[-1]) & (xs <= lam[0])
+    l1, l2 = lam[:2]
     if n == 2:
-        _require_gaps(lam, (0, 1))
-        return 1.0 / (lam[0] - lam[1])
+        return _by_branch(lam, xs, out, inside,
+                          [(True, [(0, 1)], lambda t: 1.0 / (l1 - l2))])
     if n == 3:
-        if x >= lam[1]:
-            _require_gaps(lam, (0, 1), (0, 2))
-            return 2.0 * (lam[0] - x) / ((lam[0] - lam[1]) * (lam[0] - lam[2]))
-        _require_gaps(lam, (0, 2), (1, 2))
-        return 2.0 * (x - lam[2]) / ((lam[0] - lam[2]) * (lam[1] - lam[2]))
-    l1, l2, l3, l4 = lam
-    if x >= l2:
-        _require_gaps(lam, (0, 1), (0, 2), (0, 3))
-        return 3.0 * (l1 - x) ** 2 / ((l1 - l2) * (l1 - l3) * (l1 - l4))
-    if x <= l3:
-        _require_gaps(lam, (0, 3), (1, 3), (2, 3))
-        return 3.0 * (x - l4) ** 2 / ((l1 - l4) * (l2 - l4) * (l3 - l4))
-    _require_gaps(lam, (0, 2), (1, 3), (1, 2), (0, 3))
-    return 3.0 / ((l1 - l3) * (l2 - l4)) * (
-        (x - l3) * (l2 - x) / (l2 - l3) + (x - l4) * (l1 - x) / (l1 - l4))
+        l3 = lam[2]
+        return _by_branch(lam, xs, out, inside, [
+            (xs >= l2, [(0, 1), (0, 2)],
+             lambda t: 2.0 * (l1 - t) / ((l1 - l2) * (l1 - l3))),
+            (True, [(0, 2), (1, 2)],
+             lambda t: 2.0 * (t - l3) / ((l1 - l3) * (l2 - l3)))])
+    l3, l4 = lam[2:]
+    return _by_branch(lam, xs, out, inside, [
+        (xs >= l2, [(0, 1), (0, 2), (0, 3)],
+         lambda t: 3.0 * _pow(l1 - t, 2) / ((l1 - l2) * (l1 - l3) * (l1 - l4))),
+        (xs <= l3, [(0, 3), (1, 3), (2, 3)],
+         lambda t: 3.0 * _pow(t - l4, 2) / ((l1 - l4) * (l2 - l4) * (l3 - l4))),
+        (True, [(0, 2), (1, 3), (1, 2), (0, 3)],
+         lambda t: 3.0 / ((l1 - l3) * (l2 - l4)) * (
+             (t - l3) * (l2 - t) / (l2 - l3) + (t - l4) * (l1 - t) / (l1 - l4)))])
 
 
 def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStream) -> np.ndarray:

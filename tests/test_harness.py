@@ -70,6 +70,13 @@ _BAD_CONFIGS = [
      '"lambda_t": [1.0, 0.5]}}', "model"),
     ('{"experiment": "custom", "model": {"kind": "iid", "n_t": "x", '
      '"n_r": 2}}', "model"),
+    ('{"experiment": "fig5b", "bits_range": [3, 5]}', "bits_range"),
+    ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 2.7, '
+     '"n_r": 2}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 2, '
+     '"n_r": true}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "fixed_spectrum", '
+     '"lam": [2.0, 1.0], "frozen": 1}}', "model"),
 ]
 
 

@@ -1,0 +1,92 @@
+"""The deterministic loss oracles against 40-digit references.
+
+The reference integrates F(x)**m with ``mpmath.quad`` from a CDF written
+independently of ``wnorm``: the divided-difference form
+F(x) = 1 - sum_{l_i > x} (l_i - x)^(n-1) / prod_{j != i} (l_i - l_j) for
+distinct eigenvalues, and the Beta law of |f_1|^2 when every trailing
+eigenvalue is tied.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from rvqlab.errors import ResourceLimitError
+from rvqlab.loss import (_deficit_integrand, _normalized, delta1_quadrature,
+                         delta2_quadrature)
+from rvqlab.quadrature import adaptive_simpson, integrate_piecewise
+from rvqlab.wnorm import GAP_RTOL
+
+SPECTRA = [
+    [2.0, 1.0],
+    [3.0, 1.8, 0.6],
+    [4.0, 2.8, 1.6, 0.4],
+    [1.0, 0.3, 0.3],                      # tied trailing
+    [0.7, 0.1, 0.1, 0.1],                 # tied trailing, a Schur profile
+    [1.0, 0.0, 0.0, 0.0],                 # rank one
+    [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5],    # top gap just above the guard
+    [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5, 0.2],
+]
+BITS = [0, 1, 2, 4, 8, 12, 16, 20, 24]  # fig3's validate cap is 24
+RHO = 3.0
+
+
+def _reference(lam, bits, rho=None):
+    """40-digit mean gain loss (rho None) or rate loss in bits."""
+    with mp.workdps(40):
+        lam = [mp.mpf(v) for v in lam]
+        n = len(lam)
+        if all(v == lam[1] for v in lam[1:]):
+            def cdf(x):
+                return 1 - ((lam[0] - x) / (lam[0] - lam[1])) ** (n - 1)
+        else:
+            dens = [mp.fprod(lam[i] - lam[j] for j in range(n) if j != i)
+                    for i in range(n)]
+
+            def cdf(x):
+                return 1 - mp.fsum((lam[i] - x) ** (n - 1) / dens[i]
+                                   for i in range(n) if lam[i] > x)
+        m = 2 ** bits
+        if rho is None:
+            weight = 1 / lam[0]
+            integrand = lambda x: cdf(x) ** m * weight
+        else:
+            rho = mp.mpf(rho)
+            integrand = lambda x: rho * cdf(x) ** m / ((1 + rho * x) * mp.log(2))
+        return mp.quad(integrand, sorted(set(lam)))
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("lam", SPECTRA, ids=str)
+def test_gain_loss_oracle_matches_mpmath(lam, bits):
+    want = _reference(lam, bits)
+    got = delta1_quadrature(lam, bits).value
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("lam", SPECTRA, ids=str)
+def test_rate_loss_oracle_matches_mpmath(lam, bits):
+    want = _reference(lam, bits, RHO)
+    got = delta2_quadrature(lam, RHO, bits).value
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("lam", SPECTRA, ids=str)
+def test_gauss_legendre_agrees_with_simpson(lam):
+    for bits in (0, 1, 2, 4, 8):
+        f, pts = _deficit_integrand(_normalized(lam), bits)
+        panels = [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
+        simpson = math.fsum(
+            adaptive_simpson(lambda u: float(f(np.array([u]))[0]), lo, hi,
+                             tol=1e-12 / len(panels))
+            for lo, hi in panels)
+        assert abs(integrate_piecewise(f, pts, tol=1e-12) - simpson) <= 1e-11
+
+
+def test_panel_budget_raises():
+    # no panel width resolves this, so every pass halves them all
+    with pytest.raises(ResourceLimitError):
+        integrate_piecewise(lambda x: np.cos(1e9 * x), [0.0, 1.0], tol=1e-12)

@@ -163,3 +163,21 @@ def test_cdf_monotone_random_spectra(seed):
         return
     assert np.all(np.diff(vals) >= -1e-12)
     assert min(vals) >= 0.0 and max(vals) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("lam", [[2.0, 1.0], [3.0, 2.0, 1.0],
+                                 [4.0, 3.0, 2.0, 1.0], [0.7, 0.1, 0.1, 0.1]],
+                         ids=str)
+def test_array_evaluation_matches_scalar_bit_for_bit(lam):
+    # every branch, the breakpoints themselves, and points outside the support
+    law = WeightedNormLaw(lam)
+    xs = np.concatenate([np.linspace(lam[-1] - 0.5, lam[0] + 0.5, 151),
+                         law.lam, np.nextafter(law.lam, np.inf),
+                         np.nextafter(law.lam, -np.inf)])
+    for fn in (cdf, pdf):
+        scalar = [fn(law, float(x)) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert fn(law, xs).tobytes() == np.array(scalar).tobytes()
+        column = fn(law, xs[:, None])
+        assert column.shape == (xs.size, 1)
+        assert column.tobytes() == np.array(scalar).tobytes()
