@@ -28,20 +28,26 @@ def hermitian_eig(m: np.ndarray, vectors: bool = True) -> HermitianEigen:
 
     The matrix must be square, at most 64x64, and Hermitian to within
     1e-10 relative Frobenius tolerance.  With vectors=False only the
-    eigenvalues are computed, which is noticeably cheaper in hot loops.
+    eigenvalues are computed, which is noticeably cheaper in hot loops, and
+    m may be a stack (..., n, n): every matrix is checked alike, and values
+    has shape (..., n), each row descending.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("hermitian_eig requires a square matrix")
-    if m.shape[0] > MAX_DIM:
+    if m.shape[-1] > MAX_DIM:
         raise ValueError(f"hermitian_eig supports dimension <= {MAX_DIM}")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.conj().T) > HERMITICITY_RTOL * max(scale, 1e-300):
+    if vectors and m.ndim != 2:
+        raise ValueError("hermitian_eig computes eigenvectors of one matrix only")
+    mh = m.conj().swapaxes(-1, -2)
+    # squared Frobenius norms, one per matrix
+    asym = (np.abs(m - mh) ** 2).sum(axis=(-2, -1))
+    if (asym > HERMITICITY_RTOL ** 2 * (np.abs(m) ** 2).sum(axis=(-2, -1))).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    h = (m + m.conj().T) / 2.0
+    h = (m + mh) / 2.0
     if not vectors:
         w = np.linalg.eigvalsh(h)
-        return HermitianEigen(values=w[::-1].copy(), vectors=None)
+        return HermitianEigen(values=w[..., ::-1].copy(), vectors=None)
     w, v = np.linalg.eigh(h)
     order = np.argsort(-w, kind="stable")
     return HermitianEigen(values=w[order], vectors=v[:, order])

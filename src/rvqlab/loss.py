@@ -34,6 +34,7 @@ from .special import ln_gamma, beta_fn, gauss_2f1
 
 MAX_CLOSED_FORM_BITS = 20
 MAX_OUTER_TERMS = 10 ** 4
+MAX_TAIL_TERMS = 10 ** 6
 _SERIES_RTOL = 1e-15
 _LN2 = math.log(2.0)
 
@@ -316,7 +317,9 @@ def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     Evaluated through two cancellation-free expansions around z: an
     alternating tail series for z < 1 and a reciprocal-power sum for z >= 1
     (the direct bracket form alternates in sign with the codebook size and is
-    unstable; see the z-tail identity in the tests).
+    unstable; see the z-tail identity in the tests).  The tail series raises
+    ResourceLimitError when 1e6 terms do not converge it, which happens just
+    below z = 1.
     """
     lam = check_spectrum(lam)
     if lam.size != 2:
@@ -327,15 +330,13 @@ def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     if z < 1.0:
         total = 0.0
         term_base = 1.0
-        j = 1
-        while True:
+        for j in range(1, MAX_TAIL_TERMS + 1):
             term_base *= z
             term = ((-1.0) ** (j + 1)) * term_base / (m + j)
             total += term
-            if abs(term) < 1e-17 * max(abs(total), 1e-300) or j > 10 ** 6:
-                break
-            j += 1
-        return LossEstimate(total / _LN2, "exact")
+            if abs(term) < 1e-17 * max(abs(total), 1e-300):
+                return LossEstimate(total / _LN2, "exact")
+        raise ResourceLimitError("z-tail series failed to converge within 1e6 terms")
     u = np.arange(m, dtype=float)
     series = float(np.sum(((-1.0) ** u) * z ** (-u) / (m - u)))
     delta = ((-1.0) ** m) * z ** (-float(m)) * math.log1p(z) + series

@@ -382,6 +382,31 @@ def _candidate(dim: int, base: np.ndarray, params: np.ndarray) -> np.ndarray:
     return base @ (q * d) @ r.conj().T
 
 
+def _skew_objective(grams, tops, alpha: float):
+    """Search objective a -> alpha E[m1] + (1-alpha) E[m2] over the design
+    channels (Gram matrices, top eigenvalues), from one stacked eigen-solve.
+    Terms add in channel order; a non-positive spectrum or a non-finite value
+    scores 1e9."""
+    stack = np.stack(grams)
+    tops = np.asarray(tops)
+
+    def objective_of(a):
+        ah = a.conj().T
+        try:
+            top_a = float(hermitian_eig(ah @ a, vectors=False).values[0])
+        except (ValueError, np.linalg.LinAlgError):
+            return 1e9
+        mu = hermitian_eig(ah @ stack @ a, vectors=False).values
+        if (mu[:, -1] <= 0).any() or top_a <= 0 or (tops <= 0).any():
+            return 1e9
+        m1 = 1.0 - mu[:, 0] / (top_a * tops)
+        m2 = mu[:, 0] / mu[:, -1]
+        val = np.add.accumulate(alpha * m1 + (1.0 - alpha) * m2)[-1] / len(tops)
+        return val if math.isfinite(val) else 1e9
+
+    return objective_of
+
+
 def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
                      stream: RngStream, budget: int) -> SkewSearchResult:
     """Direct search for a skew minimizing alpha E[m1] + (1-alpha) E[m2].
@@ -409,24 +434,7 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
         tops.append(ch.spectrum[0])
     dim = grams[0].shape[0]
     mean_gram = sum(grams) / len(grams)
-
-    def objective_of(a):
-        ata = a.conj().T @ a
-        try:
-            top_a = float(hermitian_eig(ata, vectors=False).values[0])
-        except Exception:
-            return 1e9
-        acc = 0.0
-        for g, top_g in zip(grams, tops):
-            mu = hermitian_eig(a.conj().T @ g @ a, vectors=False).values
-            if mu[-1] <= 0 or top_a <= 0 or top_g <= 0:
-                return 1e9
-            m1 = 1.0 - mu[0] / (top_a * top_g)
-            m2 = mu[0] / mu[-1]
-            acc += alpha * m1 + (1.0 - alpha) * m2
-        val = acc / len(grams)
-        return val if math.isfinite(val) else 1e9
-
+    objective_of = _skew_objective(grams, tops, alpha)
     eig_mean = hermitian_eig(mean_gram)
     bases = [np.eye(dim, dtype=complex)]
     try:

@@ -83,3 +83,60 @@ def test_random_hermitian_descending(seed, n):
     m = m + m.conj().T
     w = hermitian_eig(m).values
     assert np.all(np.diff(w) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked eigenvalues
+
+
+def _hermitian_stack(rng, k, n):
+    m = complex_gaussian(rng, (k, n, n))
+    return m + np.swapaxes(m.conj(), -1, -2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stack_matches_single_calls_bit_for_bit(n):
+    stack = _hermitian_stack(np.random.default_rng(10 + n), 64, n)
+    got = hermitian_eig(stack, vectors=False)
+    assert got.vectors is None
+    assert got.values.shape == (64, n)
+    want = np.array([hermitian_eig(m, vectors=False).values for m in stack])
+    np.testing.assert_array_equal(got.values, want)
+
+
+def test_stack_with_leading_axes_keeps_them():
+    stack = _hermitian_stack(np.random.default_rng(4), 6, 3).reshape(2, 3, 3, 3)
+    got = hermitian_eig(stack, vectors=False).values
+    assert got.shape == (2, 3, 3)
+    np.testing.assert_array_equal(
+        got[1, 2], hermitian_eig(stack[1, 2], vectors=False).values)
+
+
+def test_stack_with_one_non_hermitian_member_raises():
+    stack = _hermitian_stack(np.random.default_rng(5), 8, 3)
+    stack[5, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(stack, vectors=False)
+    # the tolerance is per matrix: a small member is not masked by large ones
+    stack = _hermitian_stack(np.random.default_rng(5), 8, 3)
+    stack[:4] *= 1e6
+    stack[6, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(stack, vectors=False)
+
+
+def test_stack_shape_validation():
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros((4, 2, 3)), vectors=False)
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros(3), vectors=False)
+    with pytest.raises(ValueError, match="dimension"):
+        hermitian_eig(np.zeros((2, 65, 65)), vectors=False)
+
+
+def test_stack_with_vectors_raises():
+    stack = _hermitian_stack(np.random.default_rng(6), 4, 2)
+    with pytest.raises(ValueError, match="one matrix"):
+        hermitian_eig(stack)
+    with pytest.raises(ValueError, match="one matrix"):
+        hermitian_eig(stack[:1], vectors=True)

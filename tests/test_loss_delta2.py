@@ -7,7 +7,8 @@ import pytest
 
 from helpers import diag_channel
 from rvqlab.channel import FixedSpectrumModel, KroneckerModel
-from rvqlab.errors import InstabilityGuardError, UnsupportedModelError
+from rvqlab.errors import (InstabilityGuardError, ResourceLimitError,
+                           UnsupportedModelError)
 from rvqlab.loss import (avg_delta_mi, avg_delta_snr, delta1_mc,
                          delta1_quadrature, delta2_appx, delta2_asympt,
                          delta2_exact2, delta2_mc, delta2_method2,
@@ -52,6 +53,43 @@ def test_exact2_matches_quadrature_both_branches():
 def test_exact2_vanishing_gap_limit():
     # z -> 0 through rho: the loss dies linearly with z
     assert delta2_exact2([2.0, 1.0], 1e-9, 4).value < 1e-9
+
+
+def _capped_tail_series(lam, rho, bits):
+    """The z < 1 tail series of delta2_exact2 as it was before it raised:
+    it stopped after 1e6 terms and returned whatever it had summed."""
+    z = mi_factors2(lam, rho).z
+    m = 1 << bits
+    total = 0.0
+    term_base = 1.0
+    j = 1
+    while True:
+        term_base *= z
+        term = ((-1.0) ** (j + 1)) * term_base / (m + j)
+        total += term
+        if abs(term) < 1e-17 * max(abs(total), 1e-300) or j > 10 ** 6:
+            break
+        j += 1
+    return total / LN2
+
+
+def test_exact2_tail_series_raises_instead_of_stopping_at_the_cap():
+    # z = 1 - 5e-10: a million terms leave the alternating tail far from its
+    # sum; the capped value was 51% above the quadrature oracle at b = 20
+    with pytest.raises(ResourceLimitError):
+        delta2_exact2([3.0, 1.0], 1.0 - 1e-9, 20)
+
+
+# fig5b's SNR grid (fig5a runs at rho = 1); every point has z <= 100/101
+_FIG5B_RHOS = (0.1, 0.31622776601683794, 1.0, 3.1622776601683795, 10.0,
+               31.622776601683793, 100.0)
+
+
+@pytest.mark.parametrize("rho", _FIG5B_RHOS)
+def test_exact2_preset_points_keep_their_values(rho):
+    for bits in range(0, 21):
+        assert (delta2_exact2([2.0, 1.0], rho, bits).value
+                == _capped_tail_series([2.0, 1.0], rho, bits))
 
 
 def test_scale_snr_tradeoff_invariance():

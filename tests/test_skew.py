@@ -7,9 +7,11 @@ import pytest
 from scipy.linalg import fractional_matrix_power
 
 from helpers import diag_channel, random_channel, random_full_rank
+from rvqlab import skew as skew_module
 from rvqlab.channel import FixedSpectrumModel, sample_channel
 from rvqlab.errors import (DegenerateSpectrumError, SingularCovarianceError,
                            SingularSkewError, UnsupportedModelError)
+from rvqlab.harness import _FIG6_MODEL
 from rvqlab.linalg import hermitian_eig
 from rvqlab.loss import delta1_exact, delta1_mc
 from rvqlab.rng import RngStream, sample_unitary
@@ -416,3 +418,89 @@ def test_search_guards():
         optimize_skew_a1(model, 0.5, 2, RngStream(10), 0)
     with pytest.raises(ValueError):
         optimize_skew_a1(model, 0.5, 0, RngStream(10), 50)
+
+
+# ---------------------------------------------------------------------------
+# the search objective against a per-channel reference loop
+
+
+def _loop_objective(grams, tops, alpha):
+    """alpha E[m1] + (1-alpha) E[m2] from one eigen-solve per channel, summed
+    in a Python loop: the reference the stacked objective must equal."""
+    def objective_of(a):
+        try:
+            top_a = float(hermitian_eig(a.conj().T @ a, vectors=False).values[0])
+        except (ValueError, np.linalg.LinAlgError):
+            return 1e9
+        acc = 0.0
+        for g, top_g in zip(grams, tops):
+            mu = hermitian_eig(a.conj().T @ g @ a, vectors=False).values
+            if mu[-1] <= 0 or top_a <= 0 or top_g <= 0:
+                return 1e9
+            m1 = 1.0 - mu[0] / (top_a * top_g)
+            m2 = mu[0] / mu[-1]
+            acc += alpha * m1 + (1.0 - alpha) * m2
+        val = acc / len(grams)
+        return val if math.isfinite(val) else 1e9
+    return objective_of
+
+
+def _design_channels(model, n):
+    gen = _gen("design")
+    chans = [sample_channel(model, gen) for _ in range(n)]
+    return [c.gram for c in chans], [c.spectrum[0] for c in chans]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_objective_equals_the_loop_bit_for_bit(alpha):
+    grams, tops = _design_channels(_FIG6_MODEL, 64)
+    stacked = skew_module._skew_objective(grams, tops, alpha)
+    loop = _loop_objective(grams, tops, alpha)
+    rng = np.random.default_rng(11)
+    guarded = 0
+    for i in range(120):
+        # parameter scales from the search's start to the clip of exp(+-20)
+        p = rng.standard_normal(skew_module._n_params(4)) * (0.1, 1.0, 30.0)[i % 3]
+        a = skew_module._candidate(4, random_full_rank(rng, 4), p)
+        if i % 4 == 0:
+            a[:, 0] = 0.0  # rank deficient: mu[-1] is zero or round-off
+        got, want = stacked(a), loop(a)
+        assert got == want and type(got) is type(want)
+        guarded += want == 1e9
+    assert 0 < guarded < 120
+
+
+def _search_against_loop(monkeypatch, model, alpha, n_channels, stream, budget):
+    got = optimize_skew_a1(model, alpha, n_channels, stream, budget)
+    evals = [0]
+
+    def counted_loop(grams, tops, alpha):
+        objective_of = _loop_objective(grams, tops, alpha)
+
+        def counted(a):
+            evals[0] += 1
+            return objective_of(a)
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(skew_module, "_skew_objective", counted_loop)
+        want = optimize_skew_a1(model, alpha, n_channels, stream, budget)
+    assert evals[0] == want.n_evals
+    assert got.objective == want.objective
+    assert type(got.objective) is type(want.objective)
+    assert got.n_evals == want.n_evals
+    np.testing.assert_array_equal(got.skew.a, want.skew.a)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_search_matches_the_loop_on_the_fig6d_model(monkeypatch, alpha):
+    stream = RngStream(7).derive("fig6d-design").derive(f"alpha{alpha}")
+    _search_against_loop(monkeypatch, _FIG6_MODEL, alpha, 64, stream, 120)
+
+
+@pytest.mark.parametrize("lam", [[4.0, 3.0, 2.0, 1.0], [1.6, 1.4, 1.2, 1.0]])
+def test_search_matches_the_loop_on_a_frozen_channel(monkeypatch, lam):
+    model = FixedSpectrumModel(lam=np.array(lam), frozen=True)
+    for alpha in (0.0, 0.5, 1.0):
+        stream = RngStream(7).derive("fig6a-design").derive(f"alpha{alpha}")
+        _search_against_loop(monkeypatch, model, alpha, 1, stream, 160)
