@@ -6,21 +6,17 @@ __version__ = "0.1.0"
 from .channel import (ChannelRealization, FixedSpectrumModel, IIDModel,
                       KroneckerModel, normalize_power, sample_channel,
                       transmit_covariance)
-from .codebook import Codebook, generate_rvq, select, skew_codebook
-from .errors import (DegenerateSpectrumError, InstabilityGuardError,
-                     ResourceLimitError, RvqlabError, SingularCovarianceError,
-                     SingularSkewError, UnsupportedModelError,
-                     UnsupportedRegionError)
+from .errors import (DegenerateSpectrumError, ResourceLimitError, RvqlabError,
+                     SingularCovarianceError, SingularSkewError,
+                     UnsupportedModelError, UnsupportedRegionError)
 from .loss import (LossEstimate, avg_delta_mi, avg_delta_snr, delta1_appx,
                    delta1_asympt, delta1_exact, delta1_mc, delta1_miso,
                    delta1_quadrature, delta2_appx, delta2_asympt,
-                   delta2_exact2, delta2_mc, delta2_method2,
-                   delta2_quadrature, epsilon_b, epsilon_b_log2,
-                   epsilon_b_prime, hardening_approx, quantization_factors)
+                   delta2_exact2, delta2_mc, delta2_quadrature, epsilon_b,
+                   epsilon_b_log2, epsilon_b_prime, quantization_factors)
 from .ordering import majorize_compare, schur_family, verify_schur
-from .rng import RngStream, sample_isotropic, sample_unitary
+from .rng import RngStream, sample_unitary
 from .skew import (SkewMatrix, build_skew_a2, delta1_sk_asympt,
                    delta1_sk_exact2, delta1_sk_mc, delta1_sk_upper2,
-                   dsk_factor, optimize_skew_a1, reverse_cs_check,
-                   skew_diagnostics)
+                   dsk_factor, optimize_skew_a1, skew_diagnostics)
 from .wnorm import WeightedNormLaw, cdf, pdf, sample_weighted_norms

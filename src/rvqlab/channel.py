@@ -161,8 +161,8 @@ def mean_energy(model: ChannelModel) -> float:
 
 def normalize_power(model: ChannelModel, rho_c: float) -> ChannelModel:
     """Rescale the model so the mean channel energy equals rho_c."""
-    if rho_c <= 0:
-        raise ValueError("rho_c must be positive")
+    if not 0 < rho_c < np.inf:
+        raise ValueError("rho_c must be positive and finite")
     cur = mean_energy(model)
     scale = rho_c / cur
     if abs(scale - 1.0) < 1e-12:

@@ -1,79 +1,21 @@
-"""Random vector-quantized beamforming codebooks and beam selection.
+"""The Monte Carlo kernel behind every sampled loss.
 
-A codebook of B bits holds 2^B isotropically drawn unit vectors; the receiver
-picks the entry maximizing the beamforming gain f* (H*H) f and feeds its index
-back.  Skewed variants pass every entry through a fixed full-rank matrix and
-renormalize, which biases the ensemble toward the matrix's dominant subspace.
-``best_quotients`` is the Monte Carlo kernel behind every sampled loss.
+An RVQ codebook of B bits holds 2^B isotropic unit vectors, and the best
+entry for a channel Gram G maximizes f'Gf; a skewed codebook maps every
+entry through a fixed matrix A and renormalizes.  A normalized complex
+Gaussian is isotropic and the quotient is scale-free, so the kernel never
+builds unit vectors: it draws Gaussian codewords f and keeps the best
+(f'Mf)/(f'Nf), with (M, N) = (G, I) for plain RVQ and (A'GA, A'A) for a
+skew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelRealization
-from .errors import ResourceLimitError, SingularSkewError
-from .rng import RngStream, sample_isotropic
+from .rng import RngStream
 
-MAX_BITS = 24
-SKEW_COND_TOL = 1e-12
 _MC_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """2^bits unit-norm rows of dimension n_t."""
-
-    vectors: np.ndarray
-    bits: int
-    kind: str = "rvq"
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
-class BeamSelection:
-    index: int
-    metric: float
-    snr_rx: float
-
-
-def generate_rvq(n_t: int, bits: int, rng: np.random.Generator) -> Codebook:
-    """Draw a fresh RVQ codebook: 2^bits i.i.d. isotropic unit vectors."""
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    if bits > MAX_BITS:
-        raise ResourceLimitError(f"bits capped at {MAX_BITS}")
-    if n_t < 1:
-        raise ValueError("n_t must be positive")
-    vec = sample_isotropic(n_t, rng, size=1 << bits)
-    return Codebook(vectors=vec, bits=bits, kind="rvq")
-
-
-def skew_codebook(base: Codebook, a: np.ndarray) -> Codebook:
-    """Apply a full-rank skew to every entry and renormalize."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (base.n_t, base.n_t):
-        raise ValueError("skew matrix shape must match the codebook dimension")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= SKEW_COND_TOL * sv[0]:
-        raise SingularSkewError("skew matrix is numerically rank deficient")
-    vec = base.vectors @ a.T
-    vec = vec / np.linalg.norm(vec, axis=1, keepdims=True)
-    return Codebook(vectors=vec, bits=base.bits, kind="skewed")
-
-
-def selection_metrics(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Beamforming gains f* G f for each row f (real, one per row)."""
-    return np.einsum("ki,ij,kj->k", vectors.conj(), gram, vectors).real
 
 
 def best_quotients(pairs, bits: int, n_codebooks: int,
@@ -109,25 +51,3 @@ def best_quotients(pairs, bits: int, n_codebooks: int,
                     "cki,ij,ckj->ck", fc, nn, f).real
                 np.maximum(out[k], (num / den).max(axis=1), out=out[k])
     return best
-
-
-def select(book: Codebook, channel: ChannelRealization, rho: float) -> BeamSelection:
-    """Best codebook entry for this channel; ties break to the lowest index."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if book.n_t != channel.n_t:
-        raise ValueError("codebook and channel dimensions differ")
-    metrics = selection_metrics(book.vectors, channel.gram)
-    idx = int(np.argmax(metrics))  # argmax returns the first maximum
-    metric = float(metrics[idx])
-    return BeamSelection(index=idx, metric=metric, snr_rx=rho * metric)
-
-
-def mutual_info_pair(channel: ChannelRealization, sel: BeamSelection,
-                     rho: float) -> tuple[float, float]:
-    """(perfect-feedback rate, quantized-feedback rate) in bits."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    i_perf = float(np.log2(1.0 + rho * channel.spectrum[0]))
-    i_lim = float(np.log2(1.0 + rho * sel.metric))
-    return i_perf, i_lim

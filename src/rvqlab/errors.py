@@ -27,7 +27,3 @@ class SingularCovarianceError(RvqlabError):
 
 class ResourceLimitError(RvqlabError):
     """Requested size exceeds a hard resource cap (codebook bits, intervals)."""
-
-
-class InstabilityGuardError(RvqlabError):
-    """Evaluation refused: known numerically unstable parameter range."""

@@ -24,6 +24,7 @@ from . import loss, ordering, skew
 from .channel import (FixedSpectrumModel, IIDModel, KroneckerModel,
                       normalize_power, sample_channel)
 from .errors import RvqlabError
+from .linalg import MAX_DIM
 from .rng import RngStream
 from .wnorm import WeightedNormLaw, cdf, empirical_cdf, empirical_cdf_eval
 
@@ -110,8 +111,9 @@ def validate(config: ExperimentConfig) -> list:
             issues.append(f"bits_range: bad entry {b!r}")
         elif b > 24:
             issues.append(f"bits_range: {b} exceeds the generation cap 24")
-        elif b > 20 and exp in ("fig2", "fig5a", "fig5b"):
-            issues.append(f"bits_range: {b} exceeds the closed-form cap 20")
+        elif b > loss.MAX_CLOSED_FORM_BITS and exp in ("fig2", "fig5a", "fig5b"):
+            issues.append(f"bits_range: {b} exceeds the closed-form cap "
+                          f"{loss.MAX_CLOSED_FORM_BITS}")
     if exp == "fig5b" and isinstance(bits, list) and len(bits) > 1:
         issues.append("bits_range: fig5b takes a single entry")
     if config.rho is not None and not (_is(config.rho, (int, float))
@@ -167,6 +169,8 @@ def model_from_dict(desc: dict):
                                    frozen=desc.get("frozen", False))
         else:
             raise ValueError(f"unknown kind {kind!r}")
+        if m.n_t > MAX_DIM:
+            raise ValueError(f"transmit dimension {m.n_t} exceeds the cap {MAX_DIM}")
         if "rho_c" in desc:
             m = normalize_power(m, float(desc["rho_c"]))
     except KeyError as e:

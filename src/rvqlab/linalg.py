@@ -1,7 +1,6 @@
 """Hermitian eigen-decomposition with a fixed ordering convention.
 
-Everything downstream assumes eigenvalues sorted in descending order and,
-for Gram matrices, non-negative values (tiny negative round-off clamped).
+Everything downstream assumes eigenvalues sorted in descending order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import numpy as np
 
 MAX_DIM = 64
 HERMITICITY_RTOL = 1e-10
-CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,25 +51,14 @@ def hermitian_eig(m: np.ndarray, vectors: bool = True) -> HermitianEigen:
     return HermitianEigen(values=w[order], vectors=v[:, order])
 
 
-def gram_spectrum(g: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a Gram (PSD) matrix, round-off clamped.
-
-    Values in [-1e-12 * top, 0) are set to 0; anything more negative means
-    the input was not a Gram matrix.
-    """
-    vals = hermitian_eig(g).values.copy()
-    floor = -CLAMP_TOL * max(vals[0], 1.0) if vals.size else 0.0
-    if vals.size and vals[-1] < floor:
-        raise ValueError("matrix has a significantly negative eigenvalue")
-    np.clip(vals, 0.0, None, out=vals)
-    return vals
-
-
 def check_spectrum(lam, n_min: int = 1) -> np.ndarray:
-    """Validate a spectrum array: 1-D, length >= n_min, descending, >= 0."""
+    """Validate a spectrum array: 1-D, length >= n_min, finite, descending,
+    >= 0."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or lam.size < n_min:
         raise ValueError(f"spectrum must be a 1-D array of length >= {n_min}")
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum entries must be finite")
     if np.any(lam < 0):
         raise ValueError("spectrum entries must be non-negative")
     if np.any(np.diff(lam) > 0):

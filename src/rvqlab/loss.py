@@ -24,13 +24,12 @@ from scipy.special import gammaln
 
 from .channel import ChannelRealization, ChannelModel, sample_channel
 from .codebook import best_quotients
-from .errors import (DegenerateSpectrumError, InstabilityGuardError,
-                     ResourceLimitError, UnsupportedModelError)
+from .errors import (DegenerateSpectrumError, ResourceLimitError,
+                     UnsupportedModelError)
 from .linalg import check_spectrum
 from .quadrature import integrate_piecewise
 from .rng import RngStream
 from .wnorm import GAP_RTOL, WeightedNormLaw, pdf
-from .special import ln_gamma, beta_fn, gauss_2f1
 
 MAX_CLOSED_FORM_BITS = 20
 MAX_OUTER_TERMS = 10 ** 4
@@ -72,14 +71,6 @@ class MiFactors2:
     s: float
 
 
-@dataclass(frozen=True)
-class HardeningApprox:
-    """Spread diagnostics of a covariance spectrum (descriptive only)."""
-
-    d1: float
-    d2: float
-
-
 def _check_bits(bits: int, cap: int | None = None) -> int:
     if bits < 0:
         raise ValueError("bits must be non-negative")
@@ -115,7 +106,7 @@ def _theorem_sum(m: int, q: float, d: float, k_min: int = 0) -> float:
     if d == 0.0:
         if k_min > m:
             return 0.0
-        return math.exp(ln_gamma(q) + gammaln(m + 1.0) - gammaln(m + q))
+        return math.exp(gammaln(q) + gammaln(m + 1.0) - gammaln(m + q))
     base = gammaln(m + 1.0) - gammaln(m + q)
     ln_d = math.log(d)
     total = 0.0
@@ -236,7 +227,9 @@ def delta1_miso(n_t: int, bits: int) -> LossEstimate:
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
     m = _check_bits(bits, MAX_CLOSED_FORM_BITS)
-    return LossEstimate(m * beta_fn(m, n_t / (n_t - 1.0)), "exact")
+    y = n_t / (n_t - 1.0)
+    beta = float(np.exp(gammaln(m) + gammaln(y) - gammaln(m + y)))
+    return LossEstimate(m * beta, "exact")
 
 
 def delta1_asympt(lam, bits: int) -> LossEstimate:
@@ -383,33 +376,6 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     raise ResourceLimitError("outer series failed to converge within 1e4 orders")
 
 
-def delta2_method2(lam, rho: float, bits: int) -> LossEstimate:
-    """Alternating binomial/hypergeometric route to the rate-loss approximant.
-
-    Kept as an independent cross-check; the unguarded alternating sum loses
-    all precision quickly, so evaluation is refused above 3 bits.
-    """
-    lam = check_spectrum(lam)
-    n = lam.size
-    if n < 3:
-        raise UnsupportedModelError("use delta2_exact2 for two antennas")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if bits > 3:
-        raise InstabilityGuardError("alternating sum unstable above 3 bits")
-    m = _check_bits(bits)
-    _require_gap12(lam)
-    a = float(np.exp(np.mean(np.log(lam[0] - lam[1:]))))
-    w = rho * (lam[0] - lam[1]) / (1.0 + rho * lam[0])
-    y = (lam[0] - lam[1]) / a
-    total = 0.0
-    for k in range(m + 1):
-        e = (n - 1) * k + 1
-        total += (math.comb(m, k) * (-1.0) ** k * y ** e / e
-                  * gauss_2f1(1.0, e, e + 1.0, w))
-    return LossEstimate(rho * a / (1.0 + rho * lam[0]) * total / _LN2, "approx")
-
-
 def epsilon_b_prime(lam, rho: float, bits: int) -> float:
     """Relative-defect bound of delta2_appx (can exceed 1 at small bits)."""
     return 2.0 ** epsilon_b_prime_log2(lam, rho, bits)
@@ -544,18 +510,3 @@ def avg_delta_mi(model: ChannelModel, rho: float, bits: int, n_channels: int,
     """Channel- and codebook-averaged rate loss in bits."""
     return channel_averaged_losses(model, [None], bits, n_channels,
                                    n_codebooks, stream, rho)[0]
-
-
-def hardening_approx(sigma_spectrum) -> HardeningApprox:
-    """Spread diagnostics of a transmit-covariance spectrum.
-
-    d1 is the normalized top gap, d2 grows with how far the trailing
-    eigenvalues sit below the top pair.  Descriptive figures of merit only;
-    nothing downstream consumes them.
-    """
-    lam = check_spectrum(sigma_spectrum, n_min=2)
-    if lam[0] - lam[1] < GAP_RTOL * lam[0]:
-        raise DegenerateSpectrumError("top pair degenerate; diagnostics undefined")
-    d1 = (lam[0] - lam[1]) / lam[0]
-    d2 = 1.0 + float(np.prod((lam[0] - lam[2:]) / (lam[0] - lam[1])))
-    return HardeningApprox(d1=float(d1), d2=d2)

@@ -62,23 +62,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_isotropic(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Unit-norm complex vectors drawn isotropically on the dim-sphere.
-
-    Normalized i.i.d. complex Gaussians; invariant in law under any fixed
-    unitary.  Returns shape (dim,) or (size, dim).
-    """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be positive")
-    g = rng.standard_normal((n, dim, 2))
-    v = g[..., 0] + 1j * g[..., 1]
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    return v[0] if size is None else v
-
-
 def sample_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     g = rng.standard_normal((dim, dim, 2))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel, ChannelRealization, sample_channel, transmit_covariance
-from .codebook import best_quotients
 from .errors import (DegenerateSpectrumError, SingularCovarianceError,
                      SingularSkewError, UnsupportedModelError)
 from .linalg import hermitian_eig
@@ -69,12 +68,6 @@ class SkewDiagnostics:
 
 
 @dataclass(frozen=True)
-class PencilEigs:
-    gamma1: float
-    gamma2: float
-
-
-@dataclass(frozen=True)
 class SkewSearchResult:
     skew: SkewMatrix
     objective: float
@@ -90,20 +83,6 @@ def _pair(channel: ChannelRealization, skew: SkewMatrix):
     return m, n
 
 
-def effective_spectra(channel: ChannelRealization, skew: SkewMatrix):
-    """Descending spectra of (A'GA, A'A, AA')."""
-    m, _ = _pair(channel, skew)
-    return (hermitian_eig(m, vectors=False).values,
-            skew.eig_ata.copy(), skew.eig_aat.copy())
-
-
-def sample_quotients(channel: ChannelRealization, skew: SkewMatrix,
-                     n_samples: int, stream: RngStream) -> np.ndarray:
-    """Generalized Rayleigh quotients of isotropic directions (diagnostic):
-    the best quotients of one-codeword codebooks, drawn by the kernel."""
-    return best_quotients([_pair(channel, skew)], 0, n_samples, stream)[0]
-
-
 def delta1_sk_mc(channel: ChannelRealization, skew: SkewMatrix, bits: int,
                  n_codebooks: int, stream: RngStream) -> LossEstimate:
     """Monte Carlo gain loss of the skewed codebook for one channel."""
@@ -115,22 +94,6 @@ def _pencil_pair(b: np.ndarray) -> tuple[float, float]:
     half_tr = 0.5 * (b[0, 0].real + b[1, 1].real)
     rad = math.hypot(0.5 * (b[0, 0].real - b[1, 1].real), abs(b[0, 1]))
     return half_tr + rad, half_tr - rad
-
-
-def pencil_eigs_2(channel: ChannelRealization, skew: SkewMatrix, x: float) -> PencilEigs:
-    """Eigenvalues of A'GA - x A'A at a point of the two-antenna gain range.
-
-    Inside [lam2(G), lam1(G)] the pencil has one eigenvalue of each sign;
-    the signs degenerate to zero exactly at the endpoints.
-    """
-    if channel.gram.shape[0] != 2:
-        raise UnsupportedModelError("pencil form is two-antenna only")
-    lam = channel.spectrum
-    slack = 1e-12 * lam[0]
-    if not (lam[1] - slack <= x <= lam[0] + slack):
-        raise ValueError("x outside the gain support")
-    m, n = _pair(channel, skew)
-    return PencilEigs(*_pencil_pair(m - x * n))
 
 
 def delta1_sk_exact2(channel: ChannelRealization, skew: SkewMatrix, bits: int,
@@ -327,26 +290,6 @@ def build_skew_a2(sigma_t: np.ndarray, alpha: float, beta: float) -> SkewMatrix:
     mix = alpha * vals ** beta + (1.0 - alpha) * vals ** (-0.5)
     u = eig.vectors
     return SkewMatrix((u * mix) @ u.conj().T)
-
-
-def reverse_cs_check(samples, k: int, x: float):
-    """Moment-based tail lower bound against the empirical tail.
-
-    bound = (E[X^k] - x^k)^2 / E[X^2k] <= P(X > x), valid whenever x^k does
-    not exceed the k-th sample moment.  Returns (bound, empirical).
-    """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 1 or s.size == 0 or np.any(s < 0):
-        raise ValueError("samples must be a nonempty 1-D nonnegative array")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    mk = float(np.mean(s ** k))
-    if x ** k > mk:
-        raise ValueError("x^k exceeds the k-th sample moment")
-    m2k = float(np.mean(s ** (2 * k)))
-    bound = (mk - x ** k) ** 2 / m2k
-    empirical = float(np.mean(s > x))
-    return bound, empirical
 
 
 # ---------------------------------------------------------------------------

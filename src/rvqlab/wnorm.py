@@ -15,7 +15,6 @@ A branch is refused only when its own denominators involve a gap below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi
 
 import numpy as np
 
@@ -187,35 +186,3 @@ def empirical_cdf_eval(sorted_samples: np.ndarray, x) -> np.ndarray:
     """Empirical CDF of a sorted sample evaluated at x (scalar or array)."""
     n = sorted_samples.size
     return np.searchsorted(sorted_samples, x, side="right") / n
-
-
-def ball_volume(n: int, r2: float) -> float:
-    """Volume of the complex n-ball of squared radius r2: pi^n r2^n / n!."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if r2 < 0:
-        raise ValueError("squared radius must be non-negative")
-    return pi ** n * r2 ** n / factorial(n)
-
-
-def ellipsoid_cap_volume_2(lam, x: float, r2: float) -> float:
-    """Volume of {w in C^2: |w|^2 <= r2, sum_i lam_i |w_i|^2 >= x}.
-
-    The slice of the ball where the weighted norm is at least x; at x = 0 it
-    is the whole ball, and it empties once x exceeds r2*l1.  The mixed
-    derivative of this volume at r = 1 recovers the n=2 weighted-norm
-    density, which the tests exercise by finite differences.
-    """
-    lam = check_spectrum(lam, n_min=2)
-    if lam.size != 2:
-        raise UnsupportedModelError("ellipsoid cap volume implemented for n=2 only")
-    l1, l2 = lam
-    if l1 - l2 < GAP_RTOL * l1:
-        raise DegenerateSpectrumError("l1 = l2 has no two-branch geometry")
-    if x < 0 or r2 < 0:
-        raise ValueError("x and r2 must be non-negative")
-    if x >= r2 * l1:
-        return 0.0
-    if x >= r2 * l2:
-        return (pi ** 2 / 2.0) * (r2 * l1 - x) ** 2 / (l1 * (l1 - l2))
-    return (pi ** 2 / 2.0) * (r2 * r2 - x * x / (l1 * l2))

@@ -1,153 +1,72 @@
+"""RVQ codebooks: the explicit reference codebook, and the ensemble
+properties of the Monte Carlo kernel's best gains."""
+
 import math
 
 import numpy as np
-import pytest
 from scipy.stats import ks_2samp
 
-from helpers import diag_channel
+from helpers import diag_channel, rvq_codebooks
 from rvqlab.channel import ChannelRealization
-from rvqlab.codebook import (Codebook, generate_rvq, mutual_info_pair, select,
-                             selection_metrics, skew_codebook)
-from rvqlab.errors import ResourceLimitError, SingularSkewError
+from rvqlab.codebook import best_quotients
 from rvqlab.rng import RngStream, sample_unitary
 
 
-def _gen(name):
-    return RngStream(77).derive(name).generator()
+def _stream(name):
+    return RngStream(77).derive(name)
+
+
+def _best_gains(gram, bits, n_codebooks, name):
+    return best_quotients([(gram, None)], bits, n_codebooks, _stream(name))[0]
 
 
 def test_generate_shapes():
-    book = generate_rvq(3, 0, _gen("b0"))
-    assert book.size == 1 and book.n_t == 3 and book.kind == "rvq"
-    book = generate_rvq(4, 3, _gen("b3"))
-    assert book.vectors.shape == (8, 4)
-    assert np.abs(np.linalg.norm(book.vectors, axis=1) - 1.0).max() < 1e-12
+    assert rvq_codebooks(_stream("b0"), 0, 3, 1).shape == (1, 1, 3)
+    book = rvq_codebooks(_stream("b3"), 3, 4, 1)[0]
+    assert book.shape == (8, 4)
+    assert np.abs(np.linalg.norm(book, axis=1) - 1.0).max() < 1e-12
     # distinct with probability one
-    overlaps = np.abs(book.vectors @ book.vectors.conj().T)
+    overlaps = np.abs(book @ book.conj().T)
     assert np.all(overlaps[~np.eye(8, dtype=bool)] < 1.0 - 1e-9)
-
-
-def test_generate_guards():
-    with pytest.raises(ValueError):
-        generate_rvq(4, -1, _gen("g"))
-    with pytest.raises(ResourceLimitError):
-        generate_rvq(4, 25, _gen("g"))
-    with pytest.raises(ValueError):
-        generate_rvq(0, 2, _gen("g"))
 
 
 def test_entry_mass_exchangeable():
     # first-coordinate mass averages 1/n_t across entries and codebooks
-    masses = []
-    for i in range(2000):
-        book = generate_rvq(4, 3, _gen(f"x{i}"))
-        masses.append(np.abs(book.vectors[:, 0]) ** 2)
-    masses = np.concatenate(masses)
+    masses = np.abs(rvq_codebooks(_stream("x"), 3, 4, 2000)[..., 0]) ** 2
     se = masses.std(ddof=1) / math.sqrt(masses.size)
     assert abs(masses.mean() - 0.25) <= 4 * se
 
 
 def test_skew_identity_and_scale():
-    book = generate_rvq(3, 2, _gen("sk"))
-    same = skew_codebook(book, np.eye(3))
-    assert np.abs(same.vectors - book.vectors).max() < 1e-12
-    assert same.kind == "skewed"
-    scaled = skew_codebook(book, 7.0 * np.eye(3))
-    assert np.abs(scaled.vectors - book.vectors).max() < 1e-12
-
-
-def test_skew_guards():
-    book = generate_rvq(3, 2, _gen("sk2"))
-    with pytest.raises(SingularSkewError):
-        skew_codebook(book, np.diag([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        skew_codebook(book, np.eye(2))
-
-
-def test_select_prefers_dominant_member():
-    ch = diag_channel([2.0, 1.0])
-    vecs = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sel = select(Codebook(vectors=vecs, bits=1), ch, rho=2.0)
-    assert sel.index == 1
-    assert sel.metric == pytest.approx(2.0, abs=1e-12)
-    assert sel.snr_rx == pytest.approx(4.0, abs=1e-12)
-
-
-def test_select_tie_breaks_low_index():
-    ch = diag_channel([2.0, 1.0])
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    book = Codebook(vectors=np.stack([e1, e1]), bits=1)
-    assert select(book, ch, rho=1.0).index == 0
-
-
-def test_select_guards():
-    ch = diag_channel([2.0, 1.0])
-    book = generate_rvq(2, 1, _gen("sel"))
-    with pytest.raises(ValueError):
-        select(book, ch, rho=0.0)
-    with pytest.raises(ValueError):
-        select(generate_rvq(3, 1, _gen("sel3")), ch, rho=1.0)
+    # a skew by a multiple of the identity selects as plain RVQ
+    gram = diag_channel([3.0, 2.0, 1.0]).gram
+    pairs = [(gram, None)] + [(c * c * gram, c * c * np.eye(3))
+                              for c in (1.0, 7.0)]
+    best = best_quotients(pairs, 2, 50, _stream("sk"))
+    np.testing.assert_allclose(best[1:], best[[0, 0]], rtol=1e-14)
 
 
 def test_metric_within_spectrum_range():
-    ch = diag_channel([3.0, 2.0, 0.5])
-    for i in range(200):
-        book = generate_rvq(3, 2, _gen(f"r{i}"))
-        m = select(book, ch, rho=1.0).metric
-        assert 0.5 - 1e-12 <= m <= 3.0 + 1e-12
+    gains = _best_gains(diag_channel([3.0, 2.0, 0.5]).gram, 2, 200, "r")
+    assert 0.5 - 1e-12 <= gains.min() and gains.max() <= 3.0 + 1e-12
 
 
 def test_metric_distribution_rotation_invariant():
     # conjugating the gram by a unitary leaves the selection law unchanged
     lam = [3.0, 1.0]
-    u = sample_unitary(2, _gen("rotu"))
+    u = sample_unitary(2, _stream("rotu").generator())
     rotated = ChannelRealization(np.diag(np.sqrt(lam)).astype(complex) @ u.conj().T)
-    plain = diag_channel(lam)
-    a = np.array([select(generate_rvq(2, 2, _gen(f"p{i}")), plain, 1.0).metric
-                  for i in range(4000)])
-    b = np.array([select(generate_rvq(2, 2, _gen(f"q{i}")), rotated, 1.0).metric
-                  for i in range(4000)])
+    a = _best_gains(diag_channel(lam).gram, 2, 4000, "p")
+    b = _best_gains(rotated.gram, 2, 4000, "q")
     assert ks_2samp(a, b).statistic <= 1.63 * math.sqrt(2.0 / 4000)
 
 
 def test_metric_improves_with_bits():
-    ch = diag_channel([3.0, 1.0, 0.5])
+    gram = diag_channel([3.0, 1.0, 0.5]).gram
     means = []
     ses = []
     for bits in (1, 3):
-        vals = np.array([select(generate_rvq(3, bits, _gen(f"b{bits}/{i}")),
-                                ch, 1.0).metric for i in range(400)])
+        vals = _best_gains(gram, bits, 400, f"b{bits}")
         means.append(vals.mean())
         ses.append(vals.std(ddof=1) / math.sqrt(vals.size))
     assert means[1] >= means[0] - 4 * math.hypot(*ses)
-
-
-def test_selection_metrics_are_quadratic_forms():
-    ch = diag_channel([2.0, 1.0])
-    vecs = generate_rvq(2, 3, _gen("qf")).vectors
-    want = np.einsum("ki,ij,kj->k", vecs.conj(), ch.gram, vecs).real
-    assert np.allclose(selection_metrics(vecs, ch.gram), want, atol=1e-12)
-
-
-def test_mutual_info_pair():
-    ch = diag_channel([2.0, 1.0])
-    sel = select(Codebook(vectors=np.array([[0.0, 1.0]], dtype=complex),
-                          bits=0), ch, rho=1.0)
-    i_perf, i_lim = mutual_info_pair(ch, sel, rho=1.0)
-    assert i_perf == pytest.approx(math.log2(3.0), rel=1e-12)
-    assert i_lim == pytest.approx(1.0, rel=1e-12)
-
-    best = select(Codebook(vectors=np.array([[1.0, 0.0]], dtype=complex),
-                           bits=0), ch, rho=1.0)
-    i_perf, i_lim = mutual_info_pair(ch, best, rho=1.0)
-    assert i_perf == pytest.approx(i_lim, rel=1e-12)
-
-
-def test_mutual_info_small_rho_slope():
-    ch = diag_channel([2.0, 1.0])
-    sel = select(Codebook(vectors=np.array([[0.0, 1.0]], dtype=complex),
-                          bits=0), ch, rho=1.0)
-    rho = 1e-8
-    i_perf, i_lim = mutual_info_pair(ch, sel, rho=rho)
-    slope = (i_perf - i_lim) / rho
-    assert slope == pytest.approx((2.0 - 1.0) / math.log(2.0), rel=1e-6)

@@ -77,6 +77,14 @@ _BAD_CONFIGS = [
      '"n_r": true}}', "model"),
     ('{"experiment": "custom", "model": {"kind": "fixed_spectrum", '
      '"lam": [2.0, 1.0], "frozen": 1}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "fixed_spectrum", '
+     '"lam": [NaN, 1]}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "kronecker", '
+     '"lambda_t": [1e400, 1], "lambda_r": [1]}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "fixed_spectrum", '
+     '"lam": [2, 1], "rho_c": 1e400}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 65, '
+     '"n_r": 2}}', "model"),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import complex_gaussian
-from rvqlab.linalg import check_spectrum, gram_spectrum, hermitian_eig
+from rvqlab.linalg import check_spectrum, hermitian_eig
 
 
 def test_diagonal_input_sorted():
@@ -56,13 +56,6 @@ def test_input_validation():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_gram_spectrum_clamps_roundoff():
-    vals = gram_spectrum(np.diag([1.0, -1e-14]))
-    assert vals[-1] == 0.0
-    with pytest.raises(ValueError):
-        gram_spectrum(np.diag([1.0, -1e-6]))
-
-
 def test_check_spectrum():
     lam = check_spectrum([3, 2, 1])
     assert lam.dtype == float
@@ -74,6 +67,9 @@ def test_check_spectrum():
         check_spectrum([0.0, 0.0])
     with pytest.raises(ValueError):
         check_spectrum([2.0, 1.0], n_min=3)
+    for lam in ([np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            check_spectrum(lam)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 8))

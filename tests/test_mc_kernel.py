@@ -3,8 +3,10 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from helpers import complex_gaussian, diag_channel, random_full_rank
+from helpers import (complex_gaussian, diag_channel, random_channel,
+                     random_full_rank, rvq_codebooks, selected_gains)
 from rvqlab.channel import KroneckerModel
 from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
@@ -63,6 +65,21 @@ def test_sliced_codebooks_equal_one_unsliced_draw():
                    else np.einsum("cki,ij,ckj->ck", f.conj(), nn, f).real)
             want[k, c] = (num / den).max()
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_equals_explicit_rvq_codebooks(n):
+    # two receive antennas: the Gram is singular for n = 3 and 4
+    rng = RngStream(21).derive(f"explicit{n}").generator()
+    gram = random_channel(rng, 2, n).gram
+    a = random_full_rank(rng, n)
+    pairs = [(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)]
+    for bits in range(7):
+        stream = RngStream(21).derive(f"kernel{n}/{bits}")
+        got = best_quotients(pairs, bits, 64, stream)
+        want = [selected_gains(rvq_codebooks(stream, bits, n, 64, skew), gram)
+                for skew in (None, a)]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def _pairs_of(estimates):

@@ -1,4 +1,5 @@
-"""Stream derivation, reproducibility, and the isotropic/unitary samplers."""
+"""Stream derivation, reproducibility, the isotropy of the kernel's draws,
+and the unitary sampler."""
 
 import math
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from rvqlab.rng import (MASK64, RngStream, mix_label, sample_isotropic,
-                        sample_unitary, splitmix64)
+from rvqlab.codebook import best_quotients
+from rvqlab.rng import MASK64, RngStream, mix_label, sample_unitary, splitmix64
 
 
 def test_splitmix_range_and_injective_prefix():
@@ -46,46 +47,32 @@ def test_stream_validation():
         RngStream(0, 1 << 64)
 
 
-def test_isotropic_unit_norm():
-    rng = RngStream(5).derive("iso").generator()
-    v = sample_isotropic(3, rng)
-    assert v.shape == (3,)
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-    batch = sample_isotropic(4, rng, size=100)
-    assert batch.shape == (100, 4)
-    assert np.abs(np.linalg.norm(batch, axis=1) - 1.0).max() < 1e-12
-
-
-def test_isotropic_validation():
-    rng = RngStream(5).generator()
-    with pytest.raises(ValueError):
-        sample_isotropic(0, rng)
-    with pytest.raises(ValueError):
-        sample_isotropic(2, rng, size=0)
+def _first_coordinate_mass(dim, n_draws, stream, u=None):
+    """|(u f)_1|^2 / |f|^2 of the Monte Carlo kernel's isotropic draws f,
+    as one-codeword best quotients."""
+    e1 = np.eye(dim)[0] if u is None else u[0]
+    proj = np.outer(e1.conj(), e1)
+    return best_quotients([(proj, None)], 0, n_draws, stream)[0]
 
 
 def test_coordinate_mass_exchangeable():
     # every coordinate of an isotropic vector carries mean mass 1/dim
-    f = sample_isotropic(4, RngStream(8).derive("iso4").generator(),
-                         size=80000)
-    mass = np.abs(f[:, 0]) ** 2
+    mass = _first_coordinate_mass(4, 80000, RngStream(8).derive("iso4"))
     se = mass.std(ddof=1) / math.sqrt(mass.size)
     assert abs(mass.mean() - 0.25) <= 4 * se
 
 
 def test_first_coordinate_uniform_dim2():
-    f = sample_isotropic(2, RngStream(5).derive("iso2").generator(),
-                         size=10 ** 5)
-    stat = kstest(np.abs(f[:, 0]) ** 2, "uniform").statistic
+    mass = _first_coordinate_mass(2, 10 ** 5, RngStream(5).derive("iso2"))
+    stat = kstest(mass, "uniform").statistic
     assert stat <= 1.63 / math.sqrt(10 ** 5)
 
 
 def test_unitary_invariance_dim2():
     # rotating the sample must leave the first-coordinate law uniform
-    f = sample_isotropic(2, RngStream(5).derive("iso2").generator(),
-                         size=10 ** 5)
     u = sample_unitary(2, RngStream(6).derive("u").generator())
-    stat = kstest(np.abs((f @ u.T)[:, 0]) ** 2, "uniform").statistic
+    mass = _first_coordinate_mass(2, 10 ** 5, RngStream(5).derive("iso2"), u)
+    stat = kstest(mass, "uniform").statistic
     assert stat <= 1.63 / math.sqrt(10 ** 5)
 
 

@@ -9,6 +9,7 @@ from scipy.linalg import fractional_matrix_power
 from helpers import diag_channel, random_channel, random_full_rank
 from rvqlab import skew as skew_module
 from rvqlab.channel import FixedSpectrumModel, sample_channel
+from rvqlab.codebook import best_quotients
 from rvqlab.errors import (DegenerateSpectrumError, SingularCovarianceError,
                            SingularSkewError, UnsupportedModelError)
 from rvqlab.harness import _FIG6_MODEL
@@ -17,9 +18,8 @@ from rvqlab.loss import delta1_exact, delta1_mc
 from rvqlab.rng import RngStream, sample_unitary
 from rvqlab.skew import (SkewMatrix, build_skew_a2, delta1_sk_asympt,
                          delta1_sk_exact2, delta1_sk_mc, delta1_sk_partial3,
-                         delta1_sk_upper2, dsk_factor, effective_spectra,
-                         optimize_skew_a1, pencil_eigs_2, reverse_cs_check,
-                         sample_quotients, skew_diagnostics)
+                         delta1_sk_upper2, dsk_factor, optimize_skew_a1,
+                         skew_diagnostics)
 
 
 def _gen(name):
@@ -51,46 +51,34 @@ def test_skew_matrix_rejects_singular():
 # effective spectra and quotients
 
 
-def test_effective_spectra_identity():
-    ch = diag_channel([3.0, 2.0, 1.0])
-    mu, ata, aat = effective_spectra(ch, SkewMatrix(np.eye(3)))
-    np.testing.assert_allclose(mu, [3.0, 2.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(ata, np.ones(3), atol=1e-12)
-    np.testing.assert_allclose(aat, np.ones(3), atol=1e-12)
-
-
-def test_effective_spectra_scale():
-    gen = _gen("scale")
-    ch = random_channel(gen, 3, 3)
-    a = random_full_rank(gen, 3)
-    mu1, ata1, _ = effective_spectra(ch, SkewMatrix(a))
-    mu2, ata2, _ = effective_spectra(ch, SkewMatrix(3.0 * a))
-    np.testing.assert_allclose(mu2, 9.0 * mu1, rtol=1e-12)
-    np.testing.assert_allclose(ata2, 9.0 * ata1, rtol=1e-12)
-
-
 def test_effective_top_is_submultiplicative():
+    # m1 = 1 - mu1(A'GA) / (lam1(A'A) lam1(G)) >= 0
     gen = _gen("subm")
     for _ in range(30):
         ch = random_channel(gen, 3, 3)
         sk = SkewMatrix(random_full_rank(gen, 3))
-        mu, ata, _ = effective_spectra(ch, sk)
-        assert mu[0] <= ata[0] * ch.spectrum[0] * (1 + 1e-12)
+        assert skew_diagnostics(ch, sk, 0.5).m1 >= -1e-12
+
+
+def _one_codeword_quotients(ch, a, n_samples, stream):
+    """(f'A'GAf)/(f'A'Af) of isotropic directions f: the best quotients of
+    one-codeword codebooks."""
+    pair = (a.conj().T @ ch.gram @ a, a.conj().T @ a)
+    return best_quotients([pair], 0, n_samples, stream)[0]
 
 
 def test_quotients_of_identity_stay_in_support():
     ch = random_channel(_gen("quot"), 4, 4)
-    q = sample_quotients(ch, SkewMatrix(np.eye(4)), 3000,
-                         RngStream(1).derive("q"))
+    q = _one_codeword_quotients(ch, np.eye(4), 3000, RngStream(1).derive("q"))
     assert q.min() >= ch.spectrum[-1] - 1e-9
     assert q.max() <= ch.spectrum[0] + 1e-9
 
 
 def test_quotient_moments_grow_with_order():
-    # power-mean chain of the empirical measure, feeding the tail bound
+    # power-mean chain of the empirical measure
     ch = random_channel(_gen("lyap"), 4, 4)
-    sk = SkewMatrix(random_full_rank(_gen("lyapa"), 4))
-    q = sample_quotients(ch, sk, 10 ** 5, RngStream(2).derive("ly"))
+    a = random_full_rank(_gen("lyapa"), 4)
+    q = _one_codeword_quotients(ch, a, 10 ** 5, RngStream(2).derive("ly"))
     qn = q / q.max()
     gk = np.array([np.mean(qn ** k) ** (1.0 / k) for k in range(1, 7)])
     assert np.all(np.diff(gk) > -1e-12)
@@ -100,27 +88,21 @@ def test_quotient_moments_grow_with_order():
 # two-antenna pencil machinery
 
 
+def _pencil(ch, x):
+    """Eigenvalues (larger, smaller) of the identity skew's pencil A'GA - x A'A."""
+    return skew_module._pencil_pair(ch.gram - x * np.eye(2))
+
+
 def test_pencil_interior_point():
-    ch = diag_channel([2.0, 1.0])
-    eigs = pencil_eigs_2(ch, SkewMatrix(np.eye(2)), 1.5)
-    assert eigs.gamma1 == pytest.approx(0.5, abs=1e-12)
-    assert eigs.gamma2 == pytest.approx(-0.5, abs=1e-12)
+    gamma1, gamma2 = _pencil(diag_channel([2.0, 1.0]), 1.5)
+    assert gamma1 == pytest.approx(0.5, abs=1e-12)
+    assert gamma2 == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_pencil_endpoints_degenerate():
     ch = diag_channel([2.0, 1.0])
-    sk = SkewMatrix(np.eye(2))
-    assert pencil_eigs_2(ch, sk, 2.0).gamma1 == pytest.approx(0.0, abs=1e-12)
-    assert pencil_eigs_2(ch, sk, 1.0).gamma2 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pencil_guards():
-    ch = diag_channel([2.0, 1.0])
-    sk = SkewMatrix(np.eye(2))
-    with pytest.raises(ValueError):
-        pencil_eigs_2(ch, sk, 2.5)
-    with pytest.raises(UnsupportedModelError):
-        pencil_eigs_2(diag_channel([3.0, 2.0, 1.0]), SkewMatrix(np.eye(3)), 2.5)
+    assert _pencil(ch, 2.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert _pencil(ch, 1.0)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact2_identity_matches_plain_loss():
@@ -344,43 +326,6 @@ def test_build_a2_guards():
         build_skew_a2(np.eye(2), 1.5, 1.0)
     with pytest.raises(ValueError):
         build_skew_a2(np.eye(2), 0.5, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# moment tail bound
-
-
-def test_reverse_cs_uniform_grid():
-    s = (np.arange(4000) + 0.5) / 4000
-    bound, emp = reverse_cs_check(s, 1, 0.25)
-    assert bound == pytest.approx(0.1875, abs=1e-6)
-    assert emp == pytest.approx(0.75)
-
-
-def test_reverse_cs_constant_samples():
-    bound, emp = reverse_cs_check(np.full(100, 2.0), 2, 1.0)
-    assert bound == pytest.approx(9.0 / 16.0, rel=1e-12)
-    assert emp == 1.0
-
-
-def test_reverse_cs_really_lower_bounds_quotient_tail():
-    ch = random_channel(_gen("tail"), 2, 2)
-    sk = SkewMatrix(random_full_rank(_gen("taila"), 2))
-    q = sample_quotients(ch, sk, 10 ** 4, RngStream(8).derive("t"))
-    qn = q / q.max()
-    bound, emp = reverse_cs_check(qn, 2, 0.3)
-    assert bound <= emp + 1e-12
-
-
-def test_reverse_cs_guards():
-    with pytest.raises(ValueError):
-        reverse_cs_check((np.arange(100) + 0.5) / 100, 1, 0.9)
-    with pytest.raises(ValueError):
-        reverse_cs_check(np.array([-1.0, 0.5]), 1, 0.1)
-    with pytest.raises(ValueError):
-        reverse_cs_check(np.array([]), 1, 0.1)
-    with pytest.raises(ValueError):
-        reverse_cs_check(np.array([0.5]), 0, 0.1)
 
 
 # ---------------------------------------------------------------------------

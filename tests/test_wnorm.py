@@ -10,8 +10,7 @@ from rvqlab.errors import (DegenerateSpectrumError, UnsupportedModelError,
                            UnsupportedRegionError)
 from rvqlab.quadrature import integrate_piecewise
 from rvqlab.rng import RngStream
-from rvqlab.wnorm import (WeightedNormLaw, ball_volume, cdf,
-                          ellipsoid_cap_volume_2, empirical_cdf,
+from rvqlab.wnorm import (WeightedNormLaw, cdf, empirical_cdf,
                           empirical_cdf_eval, pdf, sample_weighted_norms)
 
 
@@ -122,22 +121,28 @@ def test_empirical_cdf_matches_closed_form():
     assert empirical_cdf_eval(samples, law.support[0] - 0.1) == 0.0
 
 
-def test_ball_volume():
-    assert ball_volume(1, 1.0) == pytest.approx(math.pi, rel=1e-14)
-    assert ball_volume(2, 1.0) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-14)
-    assert ball_volume(3, 4.0) == pytest.approx(math.pi ** 3 * 64.0 / 6.0,
-                                                rel=1e-14)
-    with pytest.raises(ValueError):
-        ball_volume(0, 1.0)
+def _cap_volume(lam, x, r2):
+    """Volume of {w in C^2: |w|^2 <= r2, l1 |w_1|^2 + l2 |w_2|^2 >= x}.
+
+    The slice of the ball where the weighted norm is at least x; its mixed
+    derivative at r = 1 recovers the n=2 weighted-norm density.
+    """
+    l1, l2 = lam
+    if x >= r2 * l1:
+        return 0.0
+    if x >= r2 * l2:
+        return (math.pi ** 2 / 2.0) * (r2 * l1 - x) ** 2 / (l1 * (l1 - l2))
+    return (math.pi ** 2 / 2.0) * (r2 * r2 - x * x / (l1 * l2))
 
 
 def test_cap_volume_branches():
     lam = [2.0, 1.0]
-    assert ellipsoid_cap_volume_2(lam, 2.0, 1.0) == 0.0
-    assert ellipsoid_cap_volume_2(lam, 0.0, 1.0) == pytest.approx(
-        math.pi ** 2 / 2.0, rel=1e-14)
-    with pytest.raises(DegenerateSpectrumError):
-        ellipsoid_cap_volume_2([2.0, 2.0], 1.0, 1.0)
+    assert _cap_volume(lam, 2.0, 1.0) == 0.0
+    assert _cap_volume(lam, 0.0, 1.0) == pytest.approx(math.pi ** 2 / 2.0,
+                                                       rel=1e-14)
+    # the branches meet where x crosses r2 * l2
+    assert _cap_volume(lam, 1.0, 1.0) == pytest.approx(
+        _cap_volume(lam, 1.0 - 1e-12, 1.0), rel=1e-10)
 
 
 def test_cap_volume_mixed_derivative_recovers_density():
@@ -145,7 +150,7 @@ def test_cap_volume_mixed_derivative_recovers_density():
     law = WeightedNormLaw(lam)
     h = 1e-4
     x0 = 1.5
-    vol = lambda x, r2: ellipsoid_cap_volume_2(lam, x, r2)
+    vol = lambda x, r2: _cap_volume(lam, x, r2)
     mixed = (vol(x0 + h, 1 + h) - vol(x0 - h, 1 + h)
              - vol(x0 + h, 1 - h) + vol(x0 - h, 1 - h)) / (4 * h * h)
     assert -mixed / math.pi ** 2 == pytest.approx(pdf(law, x0), rel=1e-6)
