@@ -27,6 +27,9 @@ from .linalg import check_spectrum, hermitian_eig
 from .rng import sample_unitary
 
 UNITARY_TOL = 1e-8
+# cap on E[Tr H*H] that configs may ask for: sampled Grams and the codebook
+# quadratic forms multiply it by Gaussian magnitudes, and must stay finite
+MAX_ENERGY = 1e300
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,11 @@ def normalize_power(model: ChannelModel, rho_c: float) -> ChannelModel:
     """Rescale the model so the mean channel energy equals rho_c."""
     if not 0 < rho_c < np.inf:
         raise ValueError("rho_c must be positive and finite")
-    cur = mean_energy(model)
+    with np.errstate(over="ignore"):  # an overflow leaves no scale, refused below
+        cur = mean_energy(model)
     scale = rho_c / cur
+    if not 0 < scale < np.inf:
+        raise ValueError(f"mean channel energy {cur:g} leaves no finite rho_c scale")
     if abs(scale - 1.0) < 1e-12:
         return model
     if isinstance(model, IIDModel):

@@ -22,7 +22,8 @@ import scipy
 
 from . import loss, ordering, skew
 from .channel import (FixedSpectrumModel, IIDModel, KroneckerModel,
-                      normalize_power, sample_channel)
+                      MAX_ENERGY, mean_energy, normalize_power,
+                      sample_channel)
 from .errors import RvqlabError
 from .linalg import MAX_DIM
 from .rng import RngStream
@@ -173,6 +174,10 @@ def model_from_dict(desc: dict):
             raise ValueError(f"transmit dimension {m.n_t} exceeds the cap {MAX_DIM}")
         if "rho_c" in desc:
             m = normalize_power(m, float(desc["rho_c"]))
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            energy = mean_energy(m)
+        if not energy <= MAX_ENERGY:
+            raise ValueError(f"mean channel energy {energy:g} exceeds {MAX_ENERGY:g}")
     except KeyError as e:
         raise ConfigError(f"model: missing field {e}") from None
     except (TypeError, ValueError, OverflowError) as e:

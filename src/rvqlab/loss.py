@@ -44,12 +44,14 @@ class LossEstimate:
     method: str
     stderr: float | None = None
     warning: str | None = None
+    n: int | None = None  # sample count of a Monte Carlo estimate
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "LossEstimate":
-        """Monte Carlo estimate: the sample mean and its standard error."""
+        """Monte Carlo estimate: the sample mean, its standard error and count."""
         return cls(float(samples.mean()), "monte-carlo",
-                   stderr=float(samples.std(ddof=1) / math.sqrt(samples.size)))
+                   stderr=float(samples.std(ddof=1) / math.sqrt(samples.size)),
+                   n=int(samples.size))
 
 
 @dataclass(frozen=True)

@@ -50,3 +50,33 @@ def rvq_codebooks(stream, bits, n, n_codebooks, skew=None):
 def selected_gains(books, gram):
     """Gain w'Gw of each codebook's selected (gain-maximizing) codeword."""
     return np.einsum("cki,ij,ckj->ck", books.conj(), gram, books).real.max(axis=1)
+
+
+def einsum_best_quotients(pairs, bits, n_codebooks, stream, block=1 << 16):
+    """The Monte Carlo kernel as complex einsums, the reference for its bytes.
+
+    Same chunks, streams and codeword slices as ``codebook.best_quotients``;
+    each quadratic form is ``einsum("cki,ij,ckj->ck", conj(f), M, f).real``
+    and the plain norm ``einsum("cki,cki->ck", conj(f), f).real``.
+    """
+    m = 1 << bits
+    n = pairs[0][0].shape[0]
+    per_chunk = max(1, block // (m * n))
+    step = max(1, block // n)
+    plain = any(nn is None for _, nn in pairs)
+    best = np.full((len(pairs), n_codebooks), -np.inf)
+    for chunk, pos in enumerate(range(0, n_codebooks, per_chunk)):
+        take = min(per_chunk, n_codebooks - pos)
+        gen = stream.derive(chunk).generator()
+        out = best[:, pos:pos + take]
+        for lo in range(0, m, step):
+            g = gen.standard_normal((take, min(step, m - lo), n, 2))
+            f = g[..., 0] + 1j * g[..., 1]
+            fc = f.conj()
+            norm2 = np.einsum("cki,cki->ck", fc, f).real if plain else None
+            for k, (mm, nn) in enumerate(pairs):
+                num = np.einsum("cki,ij,ckj->ck", fc, mm, f).real
+                den = norm2 if nn is None else np.einsum(
+                    "cki,ij,ckj->ck", fc, nn, f).real
+                np.maximum(out[k], (num / den).max(axis=1), out=out[k])
+    return best

@@ -1,6 +1,8 @@
 """Tests for experiment configs, the preset runner, and the CLI."""
 
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -85,6 +87,10 @@ _BAD_CONFIGS = [
      '"lam": [2, 1], "rho_c": 1e400}}', "model"),
     ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 65, '
      '"n_r": 2}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "fixed_spectrum", '
+     '"lam": [1e308, 1e308]}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "kronecker", '
+     '"lambda_t": [1e200, 1], "lambda_r": [1e200], "rho_c": 1}}', "model"),
 ]
 
 
@@ -116,6 +122,21 @@ def test_model_from_dict_kinds():
         model_from_dict({"kind": "laplacian"})
     with pytest.raises(ConfigError):
         model_from_dict({"n_t": 4})
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "fixed_spectrum", "lam": [1e308, 1e308]},
+    {"kind": "fixed_spectrum", "lam": [8e307, 8e307], "frozen": True},
+    {"kind": "kronecker", "lambda_t": [1e200, 1], "lambda_r": [1e200]},
+    {"kind": "kronecker", "lambda_t": [1e200, 1], "lambda_r": [1e200],
+     "rho_c": 1},
+    {"kind": "fixed_spectrum", "lam": [5e-324], "rho_c": 1},
+])
+def test_overflowing_model_is_refused_by_its_energy(desc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="model: mean channel energy"):
+            model_from_dict(desc)
 
 
 def _tiny_fig1(out, seed=20240701, threads=1):
@@ -225,12 +246,47 @@ _TINY = {
 }
 
 
-@pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_every_preset_is_thread_invariant(tmp_path, preset):
+# sha256 of each _TINY CSV at seed 3, as the complex-einsum Monte Carlo kernel
+# wrote them; the real-arithmetic kernel keeps every byte.  Recorded with
+# numpy 2.4 and scipy 1.17 on x86-64: another libm may round differently.
+_TINY_SHA256 = {
+    "fig1": "4d7620e79aa8063c9327614f4dd38c43eb2470dfca2b8693eb20e26d3bf3d56d",
+    "fig2": "75d2a68f5e5a60c2a524217108dcbbfcae456ab63d46f643cea2f6bd57b3d34a",
+    "fig3": "a0ae53757cb7a4071f865b1d914eee424d9ec43935f223b1a14be86e9aa7e81c",
+    "fig4a": "092929a840fa1044e35b105c55b2b6408d25f881314469bb561047ed64d57901",
+    "fig4b": "f09f9586b418757e6a929c019136e683741c0cc3501d0488004b4c45293404ff",
+    "fig5a": "68ac7aea90f47671696678c37a0bfa6d98e3066db040ed0e24bcf642da6c391e",
+    "fig5b": "dd71034ae203eb4802b4b36e1381a01ab00243f64f309cac0a33c87f7cdb79f6",
+    "fig6a": "a9bec67bb5037ec34aadfc6129a5c4758e06be6c8788ae55e4fb9d224bb96eb9",
+    "fig6b": "104045cc2dc64d0db29e7af285d380333cc9c412a154c93415ad70f6158535dc",
+    "fig6c": "6bfce21f4701d9ed9fcbf6170aae372a925ebac31e29c48d4f9c6f9965bcec05",
+    "fig6d": "53cbc17a0d6f0b7cc7c33f526150ee19ebc447f3447f2c8b99a4dfe1c4c84141",
+    "custom": "87419fc1be01b529848b89ab6fa2af14d8db9349b39a6a64c1e14e5321940b02",
+}
+
+
+def _preset_bytes(tmp_path, preset, **kwargs):
+    """CSV bytes of one run at threads 1 and at threads 2, seed 3."""
     outs = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         run(ExperimentConfig(experiment=preset, seed=3, output_dir=str(out),
-                             threads=threads, **_TINY[preset]))
+                             threads=threads, **kwargs))
         outs.append((out / f"{preset}.csv").read_bytes())
+    return outs
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_preset_is_thread_invariant(tmp_path, preset):
+    outs = _preset_bytes(tmp_path, preset, **_TINY[preset])
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == _TINY_SHA256[preset]
+
+
+def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
+    # at bits 15 each fig2 codebook is drawn in codeword slices
+    outs = _preset_bytes(tmp_path, "fig2", bits_range=[15],
+                         trials={"codebooks": 2})
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == (
+        "56e7ce83b2a0052dcde2e26549fcfe9fd35c8f4591c0484d17a5684665dc8e94")

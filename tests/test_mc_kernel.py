@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (complex_gaussian, diag_channel, random_channel,
-                     random_full_rank, rvq_codebooks, selected_gains)
+from helpers import (complex_gaussian, diag_channel, einsum_best_quotients,
+                     random_channel, random_full_rank, rvq_codebooks,
+                     selected_gains)
 from rvqlab.channel import KroneckerModel
 from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
-from rvqlab.loss import avg_delta_snr, delta1_mc, sampled_losses
+from rvqlab.loss import (avg_delta_snr, channel_averaged_losses, delta1_exact,
+                         delta1_mc, sampled_losses)
 from rvqlab.rng import RngStream
 from rvqlab.skew import SkewMatrix, delta1_sk_mc
 
@@ -55,15 +57,8 @@ def test_sliced_codebooks_equal_one_unsliced_draw():
     # each codebook is larger than the block, so it is drawn in slices
     assert len(shapes) > n_codebooks
     assert all(s[1] < 1 << bits for s in shapes)
-    want = np.empty((len(pairs), n_codebooks))
-    for c in range(n_codebooks):
-        g = stream.derive(c).generator().standard_normal((1, 1 << bits, 2, 2))
-        f = g[..., 0] + 1j * g[..., 1]
-        for k, (mm, nn) in enumerate(pairs):
-            num = np.einsum("cki,ij,ckj->ck", f.conj(), mm, f).real
-            den = (np.einsum("cki,cki->ck", f.conj(), f).real if nn is None
-                   else np.einsum("cki,ij,ckj->ck", f.conj(), nn, f).real)
-            want[k, c] = (num / den).max()
+    # a block of 2 * 2**17 doubles holds one whole codebook per chunk
+    want = einsum_best_quotients(pairs, bits, n_codebooks, stream, block=1 << 18)
     np.testing.assert_array_equal(got, want)
 
 
@@ -80,6 +75,59 @@ def test_kernel_equals_explicit_rvq_codebooks(n):
         want = [selected_gains(rvq_codebooks(stream, bits, n, 64, skew), gram)
                 for skew in (None, a)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def _mixed_pairs(n, k, seed):
+    """k pairs on one Gram: plain RVQ at positions 0 and 5, skews elsewhere."""
+    rng = RngStream(seed).derive(f"mixed{n}/{k}").generator()
+    gram = random_channel(rng, 2, n).gram
+    pairs = []
+    for pos in range(k):
+        if pos in (0, 5):
+            pairs.append((gram, None))
+        else:
+            a = complex_gaussian(rng, (n, n))
+            pairs.append((a.conj().T @ gram @ a, a.conj().T @ a))
+    return pairs
+
+
+# (bits, n_codebooks): one codeword, slices of one and two codewords at
+# bits 0 and 1, a few small codebooks, and two chunks at n <= 4
+_SHAPES = [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (3, 5), (6, 300)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 64])
+def test_kernel_equals_complex_einsum_bit_for_bit(n):
+    for k in (1, 8):
+        pairs = _mixed_pairs(n, k, 31)
+        for bits, n_codebooks in _SHAPES:
+            if n > 4 and n_codebooks * n << bits > 1 << 12:
+                continue
+            stream = RngStream(31).derive(f"exact{n}/{k}/{bits}")
+            np.testing.assert_array_equal(
+                best_quotients(pairs, bits, n_codebooks, stream),
+                einsum_best_quotients(pairs, bits, n_codebooks, stream))
+
+
+def test_sliced_kernel_equals_complex_einsum_bit_for_bit():
+    # n = 4, bits 15: each codebook is drawn in two codeword slices
+    for k in (1, 8):
+        pairs = _mixed_pairs(4, k, 37)
+        stream = RngStream(37).derive(f"sliced{k}")
+        np.testing.assert_array_equal(best_quotients(pairs, 15, 2, stream),
+                                      einsum_best_quotients(pairs, 15, 2, stream))
+
+
+def test_estimates_carry_their_sample_count():
+    ch = diag_channel([4.0, 3.0, 2.0, 1.0])
+    stream = RngStream(41).derive("count")
+    ests = sampled_losses(ch, [None, np.eye(4)], 3, 30, stream)
+    assert [e.n for e in ests] == [30, 30]
+    model = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
+                           lambda_r=np.array([1.5, 1.0, 0.5]))
+    est, = channel_averaged_losses(model, [None], 2, 7, 5, stream)
+    assert est.n == 7
+    assert delta1_exact([2.0, 1.0], 3).n is None
 
 
 def _pairs_of(estimates):
