@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .errors import RvqlabError
-from .harness import ExperimentConfig, PRESET_NAMES, run, validate
+from .harness import _PRESETS, ExperimentConfig, run, validate
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -40,7 +40,8 @@ def main(argv=None) -> int:
     p_val.add_argument("--config", required=True)
 
     p_fig = sub.add_parser("figure", help="run a named preset with defaults")
-    p_fig.add_argument("preset", choices=[p for p in PRESET_NAMES if p != "custom"])
+    p_fig.add_argument("preset", choices=[name for name, p in _PRESETS.items()
+                                          if not p.model])
     p_fig.add_argument("--seed", type=int)
     p_fig.add_argument("--threads", type=int)
     p_fig.add_argument("--out")

@@ -15,7 +15,9 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -29,9 +31,6 @@ from .linalg import MAX_DIM
 from .rng import RngStream
 from .wnorm import WeightedNormLaw, cdf, empirical_cdf, empirical_cdf_eval
 
-PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b",
-                "fig6a", "fig6b", "fig6c", "fig6d", "custom")
-
 _FIXED_SPECTRA = ([2.0, 1.0], [3.0, 2.0, 1.0], [4.0, 3.0, 2.0, 1.0])
 _ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 _BETA_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -39,8 +38,8 @@ _BETA_GRID = (0.5, 1.0, 1.5, 2.0)
 # transmit/receive eigenvalue splits for the correlated presets; the physical
 # ensemble only depends on their outer product, scaled so E[Tr H'H] = 16
 _FIG4_LAM_R = [1.6, 1.2, 0.8, 0.4]
-_FIG4_PROFILES = ([16.0, 0.0, 0.0, 0.0], [8.0, 8.0, 0.0, 0.0],
-                  [16.0 / 3] * 3 + [0.0], [4.0, 4.0, 4.0, 4.0])
+_FIG4_PROFILES = {1: [16.0, 0.0, 0.0, 0.0], 2: [8.0, 8.0, 0.0, 0.0],  # by rank
+                  3: [16.0 / 3] * 3 + [0.0], 4: [4.0, 4.0, 4.0, 4.0]}
 _FIG6_MODEL = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
                              lambda_r=np.array([1.75, 1.25, 0.75, 0.25]))
 _FIG6_SIGMA_T = np.diag([6.4, 4.8, 3.2, 1.6])
@@ -81,30 +80,34 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def _trial(config: ExperimentConfig, key: str, default: int) -> int:
-    return int(config.trials.get(key, default)) if config.trials else default
-
-
-def _bits(config: ExperimentConfig, default) -> list:
-    if config.bits_range is None:
-        return list(default)
-    return [int(b) for b in config.bits_range]
-
-
 def _is(v, kind) -> bool:
     """isinstance that does not let a bool pass for a number."""
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def validate(config: ExperimentConfig) -> list:
-    """Collect config violations without running anything."""
+    """Collect config violations without running anything.  A field the
+    preset does not read is refused, so no setting is silently ignored."""
     issues = []
     exp = config.experiment
-    if not isinstance(exp, str) or exp not in PRESET_NAMES:
-        issues.append(f"experiment: unknown preset {exp!r}")
     if not _is(config.seed, int) or not 0 <= config.seed < 2 ** 64:
         issues.append("seed: must be a 64-bit unsigned integer")
-    bits = config.bits_range
+    if config.trials is not None and not isinstance(config.trials, dict):
+        issues.append("trials: must be an object")
+    if not isinstance(config.output_dir, str):
+        issues.append("output_dir: must be a string")
+    if not _is(config.threads, int) or config.threads < 1:
+        issues.append("threads: must be a positive integer")
+    preset = _PRESETS.get(exp) if isinstance(exp, str) else None
+    if preset is None:  # the other fields mean what the preset makes of them
+        return [f"experiment: unknown preset {exp!r}"] + issues
+
+    def given(name, value, read):  # value if read, else a refusal if set
+        if value is not None and not read:
+            issues.append(f"{name}: not read by the {exp} preset")
+        return value if read else None
+
+    bits = given("bits_range", config.bits_range, preset.bits is not None)
     if bits is not None and (not isinstance(bits, list) or not bits):
         issues.append("bits_range: must be a nonempty list of integers")
     for b in bits if isinstance(bits, list) else ():
@@ -112,38 +115,31 @@ def validate(config: ExperimentConfig) -> list:
             issues.append(f"bits_range: bad entry {b!r}")
         elif b > 24:
             issues.append(f"bits_range: {b} exceeds the generation cap 24")
-        elif b > loss.MAX_CLOSED_FORM_BITS and exp in ("fig2", "fig5a", "fig5b"):
+        elif b > loss.MAX_CLOSED_FORM_BITS and preset.closed_form:
             issues.append(f"bits_range: {b} exceeds the closed-form cap "
                           f"{loss.MAX_CLOSED_FORM_BITS}")
-    if exp == "fig5b" and isinstance(bits, list) and len(bits) > 1:
-        issues.append("bits_range: fig5b takes a single entry")
-    if config.rho is not None and not (_is(config.rho, (int, float))
-                                       and 0 < config.rho < math.inf):
+    if preset.single_b and isinstance(bits, list) and len(bits) > 1:
+        issues.append(f"bits_range: {exp} takes a single entry")
+    rho = given("rho", config.rho, preset.rho is not None)
+    if rho is not None and not (_is(rho, (int, float)) and 0 < rho < math.inf):
         issues.append("rho: must be a positive finite number")
-    trials = config.trials if isinstance(config.trials, dict) else {}
-    if config.trials is not None and not isinstance(config.trials, dict):
-        issues.append("trials: must be an object")
-    for key, v in trials.items():
+    for key, v in (config.trials if isinstance(config.trials, dict) else {}).items():
         if key not in ("channels", "codebooks", "samples"):
             issues.append(f"trials.{key}: unknown key")
+        elif key not in preset.trials:
+            issues.append(f"trials.{key}: not read by the {exp} preset")
         elif not _is(v, int) or v < 1:
             issues.append(f"trials.{key}: must be a positive integer")
-    if exp not in ("fig1", "fig3") and trials.get("codebooks") == 1:
-        issues.append("trials.codebooks: at least 2 needed for a standard error")
-    if (exp in ("fig4a", "fig4b", "fig6c", "fig6d", "custom")
-            and trials.get("channels") == 1):
-        issues.append("trials.channels: at least 2 needed for a standard error")
-    if exp == "custom" and config.model is None:
-        issues.append("model: required for the custom preset")
-    if config.model is not None:
+        elif v == 1 and key != "samples":  # channels and codebooks feed stderrs
+            issues.append(f"trials.{key}: at least 2 needed for a standard error")
+    model = given("model", config.model, preset.model)
+    if preset.model and model is None:
+        issues.append(f"model: required for the {exp} preset")
+    if model is not None:
         try:
-            model_from_dict(config.model)
+            model_from_dict(model)
         except ConfigError as e:
             issues.append(str(e))
-    if not isinstance(config.output_dir, str):
-        issues.append("output_dir: must be a string")
-    if not _is(config.threads, int) or config.threads < 1:
-        issues.append("threads: must be a positive integer")
     return issues
 
 
@@ -210,16 +206,14 @@ def skew_candidates_avg(model, candidates, bits, n_channels, n_codebooks,
 # presets: each builder returns (columns, [(task_label, fn(stream) -> rows)])
 
 
-def _build_fig1(config):
-    n_samples = _trial(config, "samples", 10 ** 5)
+def _build_fig1(config, samples):
     n_grid = 201
 
     def task(lam):
         def fn(stream):
             law = WeightedNormLaw(lam)
             xs = np.linspace(law.lam[-1], law.lam[0], n_grid)
-            samples = empirical_cdf(law, n_samples, stream)
-            emp = empirical_cdf_eval(samples, xs)
+            emp = empirical_cdf_eval(empirical_cdf(law, samples, stream), xs)
             return [[len(lam), x, c, e] for x, c, e in zip(xs, cdf(law, xs), emp)]
         return fn
 
@@ -234,14 +228,11 @@ def _asympt_or_exact_trend(lam, b):
     return loss.delta1_asympt(lam, b).value
 
 
-def _build_fig2(config):
-    bits = _bits(config, range(1, 9))
-    n_codebooks = _trial(config, "codebooks", 1000)
-
+def _build_fig2(config, bits, codebooks):
     def task(lam, b):
         def fn(stream):
             ch = _frozen_realization(lam)
-            est = loss.delta1_mc(ch, b, n_codebooks, stream)
+            est = loss.delta1_mc(ch, b, codebooks, stream)
             closed = loss.delta1_closed(lam, b)
             return [[len(lam), b, est.value, est.stderr, closed.value,
                      _asympt_or_exact_trend(lam, b)]]
@@ -253,17 +244,13 @@ def _build_fig2(config):
             "delta1_asympt"], tasks
 
 
-def _build_fig3(config):
-    bits = _bits(config, (2, 4, 6))
+def _build_fig3(config, bits):
     family = ordering.schur_family()
 
     def task(b):
         def fn(stream):
-            rows = []
-            for prof in family:
-                x = float(1.0 - prof[0])
-                rows.append([x, b, loss.delta1_quadrature(prof, b).value])
-            return rows
+            return [[float(1.0 - prof[0]), b, loss.delta1_quadrature(prof, b).value]
+                    for prof in family]
         return fn
 
     return ["x", "b", "delta1"], [(f"fig3/b{b}", task(b)) for b in bits]
@@ -274,38 +261,29 @@ def _fig4_model(profile):
                           lambda_r=np.asarray(_FIG4_LAM_R, dtype=float))
 
 
-def _build_fig4a(config):
-    bits = _bits(config, range(1, 7))
-    n_ch = _trial(config, "channels", 200)
-    n_cb = _trial(config, "codebooks", 100)
-
-    def task(profile, b):
+def _build_fig4a(config, bits, channels, codebooks):
+    def task(rank, profile, b):
         def fn(stream):
-            est = loss.avg_delta_snr(_fig4_model(profile), b, n_ch, n_cb, stream)
-            rank = int(np.sum(np.asarray(profile) > 0))
+            est = loss.avg_delta_snr(_fig4_model(profile), b, channels, codebooks,
+                                     stream)
             return [[rank, b, est.value, est.stderr]]
         return fn
 
-    tasks = [(f"fig4a/rank{int(np.sum(np.asarray(p) > 0))}/b{b}", task(p, b))
-             for p in _FIG4_PROFILES for b in bits]
+    tasks = [(f"fig4a/rank{rank}/b{b}", task(rank, p, b))
+             for rank, p in _FIG4_PROFILES.items() for b in bits]
     return ["rank_sigma_t", "b", "delta_snr", "stderr"], tasks
 
 
-def _build_fig4b(config):
-    bits = _bits(config, range(1, 7))
-    rho = config.rho if config.rho is not None else 10.0
-    n_ch = _trial(config, "channels", 200)
-    n_cb = _trial(config, "codebooks", 100)
-
-    def task(profile, b):
+def _build_fig4b(config, bits, rho, channels, codebooks):
+    def task(rank, profile, b):
         def fn(stream):
-            est = loss.avg_delta_mi(_fig4_model(profile), rho, b, n_ch, n_cb, stream)
-            rank = int(np.sum(np.asarray(profile) > 0))
+            est = loss.avg_delta_mi(_fig4_model(profile), rho, b, channels, codebooks,
+                                    stream)
             return [[rank, b, rho, est.value, est.stderr]]
         return fn
 
-    tasks = [(f"fig4b/rank{int(np.sum(np.asarray(p) > 0))}/b{b}", task(p, b))
-             for p in _FIG4_PROFILES for b in bits]
+    tasks = [(f"fig4b/rank{rank}/b{b}", task(rank, p, b))
+             for rank, p in _FIG4_PROFILES.items() for b in bits]
     return ["rank_sigma_t", "b", "rho", "delta_mi", "stderr"], tasks
 
 
@@ -316,15 +294,11 @@ def _delta2_closed(lam, rho, b):
     return loss.delta2_appx(lam, rho, b).value
 
 
-def _build_fig5a(config):
-    bits = _bits(config, range(1, 9))
-    rho = config.rho if config.rho is not None else 1.0
-    n_cb = _trial(config, "codebooks", 1000)
-
+def _build_fig5a(config, bits, rho, codebooks):
     def task(lam, b):
         def fn(stream):
             ch = _frozen_realization(lam)
-            est = loss.delta2_mc(ch, rho, b, n_cb, stream)
+            est = loss.delta2_mc(ch, rho, b, codebooks, stream)
             closed = _delta2_closed(lam, rho, b)
             a3 = loss.delta2_asympt(lam, rho, b, method="prop3").value
             c3 = loss.delta2_asympt(lam, rho, b, method="corollary3").value
@@ -337,16 +311,15 @@ def _build_fig5a(config):
             "delta2_asympt_prop", "delta2_asympt_cor"], tasks
 
 
-def _build_fig5b(config):
-    b = _bits(config, [4])[0]
+def _build_fig5b(config, bits, codebooks):
+    (b,) = bits
     rhos = (0.1, 0.31622776601683794, 1.0, 3.1622776601683795, 10.0,
             31.622776601683793, 100.0)
-    n_cb = _trial(config, "codebooks", 1000)
 
     def task(lam, rho):
         def fn(stream):
             ch = _frozen_realization(lam)
-            est = loss.delta2_mc(ch, rho, b, n_cb, stream)
+            est = loss.delta2_mc(ch, rho, b, codebooks, stream)
             return [[len(lam), rho, b, est.value, est.stderr,
                      _delta2_closed(lam, rho, b)]]
         return fn
@@ -356,93 +329,72 @@ def _build_fig5b(config):
     return ["n_t", "rho", "b", "delta2_mc", "stderr", "delta2_closed"], tasks
 
 
-def _build_fig6_frozen(config, lam, tag):
-    bits = _bits(config, range(1, 7))
-    n_cb = _trial(config, "codebooks", 1000)
-    budget = _trial(config, "samples", 1600)
+def _build_fig6_frozen(config, bits, codebooks, samples, lam):
+    """fig6a/fig6b: skews designed for one frozen channel of spectrum lam."""
     ch = _frozen_realization(lam)
     model = FixedSpectrumModel(lam=np.asarray(lam, dtype=float), frozen=True)
     candidates = [("rvq", None, "")]
-    seed_stream = RngStream(config.seed).derive(f"{tag}-design")
+    seed_stream = RngStream(config.seed).derive(f"{config.experiment}-design")
     for alpha in _ALPHA_GRID:
         res = skew.optimize_skew_a1(model, alpha, 1,
-                                    seed_stream.derive(f"alpha{alpha}"), budget)
+                                    seed_stream.derive(f"alpha{alpha}"), samples)
         candidates.append(("a1", res.skew.a, alpha))
 
     def task(b):
         def fn(stream):
-            ests = loss.sampled_losses(ch, [c[1] for c in candidates], b, n_cb,
-                                       stream)
+            ests = loss.sampled_losses(ch, [c[1] for c in candidates], b,
+                                       codebooks, stream)
             return [[label, alpha, b, est.value, est.stderr]
                     for (label, _, alpha), est in zip(candidates, ests)]
         return fn
 
-    tasks = [(f"{tag}/b{b}", task(b)) for b in bits]
+    tasks = [(f"{config.experiment}/b{b}", task(b)) for b in bits]
     return ["candidate", "alpha", "b", "delta1", "stderr"], tasks
 
 
-def _build_fig6a(config):
-    return _build_fig6_frozen(config, [4.0, 3.0, 2.0, 1.0], "fig6a")
-
-
-def _build_fig6b(config):
-    return _build_fig6_frozen(config, [1.6, 1.4, 1.2, 1.0], "fig6b")
-
-
-def _skew_average_tasks(tag, model, candidates, bits, n_ch, n_cb):
+def _skew_average_tasks(config, candidates, bits, channels, codebooks):
     """fig6c/fig6d: one channel-averaged row per (label, skew, alpha, beta)."""
     def task(b):
         def fn(stream):
-            triples = skew_candidates_avg(model, [c[:2] for c in candidates],
-                                          b, n_ch, n_cb, stream)
+            triples = skew_candidates_avg(_FIG6_MODEL, [c[:2] for c in candidates],
+                                          b, channels, codebooks, stream)
             return [[c[0], c[2], c[3], b, mean, se]
                     for c, (_, mean, se) in zip(candidates, triples)]
         return fn
 
-    tasks = [(f"{tag}/b{b}", task(b)) for b in bits]
+    tasks = [(f"{config.experiment}/b{b}", task(b)) for b in bits]
     return ["candidate", "alpha", "beta", "b", "delta_snr", "stderr"], tasks
 
 
-def _build_fig6c(config):
+def _build_fig6c(config, bits, channels, codebooks):
     candidates = [("rvq", None, "", "")]
     for beta in _BETA_GRID:
         for alpha in _ALPHA_GRID:
             sk = skew.build_skew_a2(_FIG6_SIGMA_T, alpha, beta)
             candidates.append(("a2", sk, alpha, beta))
-    return _skew_average_tasks("fig6c", _FIG6_MODEL, candidates,
-                               _bits(config, (1, 4)),
-                               _trial(config, "channels", 400),
-                               _trial(config, "codebooks", 100))
+    return _skew_average_tasks(config, candidates, bits, channels, codebooks)
 
 
-def _build_fig6d(config):
-    budget = _trial(config, "samples", 2400)
+def _build_fig6d(config, bits, channels, codebooks, samples):
     design = RngStream(config.seed).derive("fig6d-design")
     candidates = [("rvq", None, "", "")]
     for alpha in (1.0, 0.5, 0.0):
         res = skew.optimize_skew_a1(_FIG6_MODEL, alpha, 64,
-                                    design.derive(f"alpha{alpha}"), budget)
+                                    design.derive(f"alpha{alpha}"), samples)
         candidates.append(("a1", res.skew, alpha, ""))
     for beta in _BETA_GRID:
         candidates.append(("a2", skew.build_skew_a2(_FIG6_SIGMA_T, 1.0, beta),
                            1.0, beta))
-    return _skew_average_tasks("fig6d", _FIG6_MODEL, candidates,
-                               _bits(config, range(1, 7)),
-                               _trial(config, "channels", 1000),
-                               _trial(config, "codebooks", 100))
+    return _skew_average_tasks(config, candidates, bits, channels, codebooks)
 
 
-def _build_custom(config):
-    model = model_from_dict(config.model)
-    bits = _bits(config, range(1, 7))
-    rho = config.rho if config.rho is not None else 1.0
-    n_ch = _trial(config, "channels", 100)
-    n_cb = _trial(config, "codebooks", 100)
-
+def _build_custom(config, bits, rho, channels, codebooks, model):
     def task(b):
         def fn(stream):
-            snr = loss.avg_delta_snr(model, b, n_ch, n_cb, stream.derive("snr"))
-            mi = loss.avg_delta_mi(model, rho, b, n_ch, n_cb, stream.derive("mi"))
+            snr = loss.avg_delta_snr(model, b, channels, codebooks,
+                                     stream.derive("snr"))
+            mi = loss.avg_delta_mi(model, rho, b, channels, codebooks,
+                                   stream.derive("mi"))
             return [[b, rho, snr.value, snr.stderr, mi.value, mi.stderr]]
         return fn
 
@@ -450,14 +402,55 @@ def _build_custom(config):
     return ["b", "rho", "delta_snr", "stderr_snr", "delta_mi", "stderr_mi"], tasks
 
 
-_BUILDERS = {
-    "fig1": _build_fig1, "fig2": _build_fig2, "fig3": _build_fig3,
-    "fig4a": _build_fig4a, "fig4b": _build_fig4b,
-    "fig5a": _build_fig5a, "fig5b": _build_fig5b,
-    "fig6a": _build_fig6a, "fig6b": _build_fig6b,
-    "fig6c": _build_fig6c, "fig6d": _build_fig6d,
-    "custom": _build_custom,
+class _Preset(NamedTuple):
+    """What a preset reads of the config, with its defaults.  build(config,
+    **values) gets each field read, as bits, rho, model or its trial key."""
+    build: Callable
+    bits: tuple = None         # default bits_range; None: bits_range unread
+    trials: dict = {}          # the trial keys read, with their defaults
+    rho: float = None          # default rho; None: rho unread
+    model: bool = False        # reads a model, which it needs
+    closed_form: bool = False  # every b within loss.MAX_CLOSED_FORM_BITS
+    single_b: bool = False     # bits_range holds one b
+
+    def configured(self, config):
+        """build(config, ...) given each field read: the config's or the default."""
+        values = {k: (config.trials or {}).get(k, d) for k, d in self.trials.items()}
+        if self.bits is not None:
+            values["bits"] = list(config.bits_range or self.bits)
+        if self.rho is not None:
+            values["rho"] = self.rho if config.rho is None else config.rho
+        if self.model:
+            values["model"] = model_from_dict(config.model)
+        return self.build(config, **values)
+
+
+_PRESETS = {
+    "fig1": _Preset(_build_fig1, None, {"samples": 10 ** 5}),
+    "fig2": _Preset(_build_fig2, range(1, 9), {"codebooks": 1000}, closed_form=True),
+    "fig3": _Preset(_build_fig3, (2, 4, 6)),
+    "fig4a": _Preset(_build_fig4a, range(1, 7), {"channels": 200, "codebooks": 100}),
+    "fig4b": _Preset(_build_fig4b, range(1, 7), {"channels": 200, "codebooks": 100},
+                     rho=10.0),
+    "fig5a": _Preset(_build_fig5a, range(1, 9), {"codebooks": 1000}, rho=1.0,
+                     closed_form=True),
+    "fig5b": _Preset(_build_fig5b, (4,), {"codebooks": 1000}, closed_form=True,
+                     single_b=True),
+    "fig6a": _Preset(partial(_build_fig6_frozen, lam=[4.0, 3.0, 2.0, 1.0]),
+                     range(1, 7), {"codebooks": 1000, "samples": 1600}),
+    "fig6b": _Preset(partial(_build_fig6_frozen, lam=[1.6, 1.4, 1.2, 1.0]),
+                     range(1, 7), {"codebooks": 1000, "samples": 1600}),
+    "fig6c": _Preset(_build_fig6c, (1, 4), {"channels": 400, "codebooks": 100}),
+    "fig6d": _Preset(_build_fig6d, range(1, 7),
+                     {"channels": 1000, "codebooks": 100, "samples": 2400}),
+    "custom": _Preset(_build_custom, range(1, 7), {"channels": 100, "codebooks": 100},
+                      rho=1.0, model=True),
 }
+PRESET_NAMES = tuple(_PRESETS)
+
+
+# build(config) -> (columns, tasks) of each preset, looked up on every run
+_BUILDERS = {name: preset.configured for name, preset in _PRESETS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import numpy as np
 
 MAX_DIM = 64
 HERMITICITY_RTOL = 1e-10
+# entries up to this size square and sum over MAX_DIM^2 terms without overflow
+_SQUARE_SAFE = 1e150
 
 
 @dataclass(frozen=True)
@@ -38,9 +40,18 @@ def hermitian_eig(m: np.ndarray, vectors: bool = True) -> HermitianEigen:
     if vectors and m.ndim != 2:
         raise ValueError("hermitian_eig computes eigenvectors of one matrix only")
     mh = m.conj().swapaxes(-1, -2)
+    mag = np.abs(m)
+    if not mag.max() <= _SQUARE_SAFE:  # the squares would overflow: scale first
+        scale = mag.max(axis=(-2, -1), keepdims=True)
+        if not np.isfinite(scale).all():
+            raise ValueError("matrix entries must be finite")
+        scale[scale == 0] = 1.0  # an all-zero matrix needs no scaling
+        diff, mag = m / scale - mh / scale, mag / scale
+    else:
+        diff = m - mh
     # squared Frobenius norms, one per matrix
-    asym = (np.abs(m - mh) ** 2).sum(axis=(-2, -1))
-    if (asym > HERMITICITY_RTOL ** 2 * (np.abs(m) ** 2).sum(axis=(-2, -1))).any():
+    asym = (np.abs(diff) ** 2).sum(axis=(-2, -1))
+    if (asym > HERMITICITY_RTOL ** 2 * (mag ** 2).sum(axis=(-2, -1))).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     h = (m + mh) / 2.0
     if not vectors:

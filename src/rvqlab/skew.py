@@ -379,17 +379,11 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     mean_gram = sum(grams) / len(grams)
     objective_of = _skew_objective(grams, tops, alpha)
     eig_mean = hermitian_eig(mean_gram)
-    bases = [np.eye(dim, dtype=complex)]
-    try:
-        cov = transmit_covariance(model)
-        es = hermitian_eig(np.asarray(cov.sigma_t, dtype=complex))
-        sv = np.clip(es.values, 1e-12 * max(es.values[0], 1e-300), None)
-        bases.append((es.vectors * np.sqrt(sv)) @ es.vectors.conj().T)
-    except Exception:
-        mv = np.clip(eig_mean.values, 1e-12 * eig_mean.values[0], None)
-        bases.append((eig_mean.vectors * np.sqrt(mv)) @ eig_mean.vectors.conj().T)
+    es = hermitian_eig(transmit_covariance(model).sigma_t)
+    sv = np.clip(es.values, 1e-12 * max(es.values[0], 1e-300), None)
     vals = np.clip(eig_mean.values, 1e-12 * eig_mean.values[0], None)
-    bases.append((eig_mean.vectors * vals ** -0.5) @ eig_mean.vectors.conj().T)
+    bases = [np.eye(dim, dtype=complex), (es.vectors * np.sqrt(sv)) @ es.vectors.conj().T,
+             (eig_mean.vectors * vals ** -0.5) @ eig_mean.vectors.conj().T]
     rgen = stream.derive("restarts").generator()
     while len(bases) < 8:
         z = rgen.standard_normal((dim, dim, 2))

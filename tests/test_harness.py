@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from rvqlab.channel import FixedSpectrumModel, IIDModel, KroneckerModel
+from rvqlab import harness
 from rvqlab.cli import main
 from rvqlab.harness import (PRESET_NAMES, ConfigError, ExperimentConfig,
                             model_from_dict, run, validate)
@@ -55,6 +56,79 @@ def test_validate_flags_problems():
 
 def test_validate_clean_config():
     assert validate(ExperimentConfig(experiment="fig6d")) == []
+
+
+_IID2 = {"kind": "iid", "n_t": 2, "n_r": 2}
+# every field each preset reads, with its default (a model has none: custom
+# needs one); every other field is refused
+_R6, _R8 = [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7, 8]
+_READS = {
+    "fig1": {"trials.samples": 100000},
+    "fig2": {"bits_range": _R8, "trials.codebooks": 1000},
+    "fig3": {"bits_range": [2, 4, 6]},
+    "fig4a": {"bits_range": _R6, "trials.channels": 200, "trials.codebooks": 100},
+    "fig4b": {"bits_range": _R6, "rho": 10.0, "trials.channels": 200,
+              "trials.codebooks": 100},
+    "fig5a": {"bits_range": _R8, "rho": 1.0, "trials.codebooks": 1000},
+    "fig5b": {"bits_range": [4], "trials.codebooks": 1000},
+    "fig6a": {"bits_range": _R6, "trials.codebooks": 1000, "trials.samples": 1600},
+    "fig6b": {"bits_range": _R6, "trials.codebooks": 1000, "trials.samples": 1600},
+    "fig6c": {"bits_range": [1, 4], "trials.channels": 400, "trials.codebooks": 100},
+    "fig6d": {"bits_range": _R6, "trials.channels": 1000, "trials.codebooks": 100,
+              "trials.samples": 2400},
+    "custom": {"bits_range": _R6, "rho": 1.0, "trials.channels": 100,
+               "trials.codebooks": 100, "model": None},
+}
+# a valid setting of each field, as ExperimentConfig keyword arguments
+_SETTINGS = {"bits_range": {"bits_range": [2]}, "rho": {"rho": 2.0},
+             "trials.channels": {"trials": {"channels": 3}},
+             "trials.codebooks": {"trials": {"codebooks": 3}},
+             "trials.samples": {"trials": {"samples": 3}},
+             "model": {"model": _IID2}}
+
+
+def _config(preset, *fields):
+    """The preset's config with the given fields set (custom gets a model)."""
+    kwargs = {"model": _IID2} if preset == "custom" else {}
+    for name in fields:
+        kwargs.update(_SETTINGS[name])
+    return ExperimentConfig(experiment=preset, **kwargs)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_builder_receives_the_preset_defaults(preset):
+    seen = {}
+
+    def record(config, **values):
+        seen.update(values)
+        return [], []
+
+    harness._PRESETS[preset]._replace(build=record).configured(_config(preset))
+    assert isinstance(seen.pop("model", None), IIDModel) == (preset == "custom")
+    # builder arguments are named bits, rho and after the trial keys
+    assert seen == {name.removeprefix("trials.").replace("bits_range", "bits"): v
+                    for name, v in _READS[preset].items() if name != "model"}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_unread_field_is_refused(tmp_path, monkeypatch, capsys, preset):
+    monkeypatch.chdir(tmp_path)
+    assert validate(_config(preset)) == []
+    for name in _SETTINGS:
+        config = _config(preset, name)
+        if name in _READS[preset]:
+            assert validate(config) == []
+            continue
+        issues = validate(config)
+        assert len(issues) == 1 and issues[0].startswith(f"{name}: "), issues
+        path = tmp_path / "unread.json"
+        path.write_text(config.to_json())
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert name in out and "error:" in err
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "out").exists()
 
 
 _BAD_CONFIGS = [

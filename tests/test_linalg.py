@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import complex_gaussian
+from rvqlab.channel import FixedSpectrumModel, sample_channel
 from rvqlab.linalg import check_spectrum, hermitian_eig
 
 
@@ -54,6 +57,27 @@ def test_input_validation():
         hermitian_eig(np.zeros((65, 65)))
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermiticity_check_survives_huge_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # squared, these entries overflow to inf on both sides of the check
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(np.array([[1e300, 1e300], [0.0, 1e300]]))
+        # a custom fixed_spectrum model at [2e154, 1e154]: Gram entries near
+        # 1e154 square past the float range
+        model = FixedSpectrumModel(lam=np.array([2e154, 1e154]))
+        ch = sample_channel(model, np.random.default_rng(4))
+        assert np.allclose(ch.spectrum, [2e154, 1e154], rtol=1e-12)
+        stack = np.array([np.zeros((2, 2)), [[2e300, 1e300], [1e300, 1e300]]])
+        w = hermitian_eig(stack, vectors=False).values
+        assert list(w[0]) == [0.0, 0.0]
+        assert np.allclose(w[1], [(3 + 5 ** 0.5) / 2 * 1e300,
+                                  (3 - 5 ** 0.5) / 2 * 1e300], rtol=1e-12)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                hermitian_eig(np.array([[bad, 0.0], [0.0, 1e300]]))
 
 
 def test_check_spectrum():
