@@ -118,6 +118,9 @@ def validate(config: ExperimentConfig) -> list:
         elif b > loss.MAX_CLOSED_FORM_BITS and preset.closed_form:
             issues.append(f"bits_range: {b} exceeds the closed-form cap "
                           f"{loss.MAX_CLOSED_FORM_BITS}")
+    if isinstance(bits, list):  # a repeated b would rerun its random stream
+        issues += [f"bits_range: repeated entry {b}" for b in
+                   sorted({b for b in bits if _is(b, int) and bits.count(b) > 1})]
     if preset.single_b and isinstance(bits, list) and len(bits) > 1:
         issues.append(f"bits_range: {exp} takes a single entry")
     rho = given("rho", config.rho, preset.rho is not None)

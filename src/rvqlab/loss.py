@@ -10,17 +10,17 @@ Conventions used throughout:
 * Gain loss is ``(lam[0] - best gain)/lam[0]`` in [0, 1]; rate loss is the
   mean shortfall from the perfect-feedback rate, in bits.
 
-Closed forms are capped at bits <= 20; the downward term accumulation is run
-in the log domain so binomial-style sums stay stable at any supported size.
+Closed forms are capped at bits <= 20.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc
 
 from .channel import ChannelRealization, ChannelModel, sample_channel
 from .codebook import best_quotients
@@ -33,8 +33,6 @@ from .wnorm import GAP_RTOL, WeightedNormLaw, pdf
 
 MAX_CLOSED_FORM_BITS = 20
 MAX_OUTER_TERMS = 10 ** 4
-MAX_TAIL_TERMS = 10 ** 6
-_SERIES_RTOL = 1e-15
 _LN2 = math.log(2.0)
 
 
@@ -96,34 +94,34 @@ def _require_all_gaps(lam):
         raise DegenerateSpectrumError("spectrum has a gap below 1e-9 relative")
 
 
+def _gamma_ratio(m: int, q: float) -> float:
+    """Gamma(m+1)/Gamma(m+q) for q > 0.
+
+    Exact ratio of gammas below m = 32; above, Stirling's series with the
+    large logarithms cancelled by hand, since ln Gamma(m+1) - ln Gamma(m+q)
+    taken as a difference loses about m ln m ulps.
+    """
+    if m < 32:
+        return math.gamma(m + 1.0) / math.gamma(m + q)
+
+    def mu(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
+
+    return math.exp((m + 0.5) * math.log1p((1.0 - q) / (m + q))
+                    + (1.0 - q) * (math.log(m + q) - 1.0) + mu(m + 1.0) - mu(m + q))
+
+
 def _theorem_sum(m: int, q: float, d: float, k_min: int = 0) -> float:
     """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)).
 
-    Accumulated downward from k = m; terms decay geometrically in that
-    direction once past the peak, so the sum is truncated when a term drops
-    below 1e-15 of the running total.
+    With j = m - k the terms are Gamma(q) Gamma(m+1)/Gamma(m+q) times the
+    negative-binomial weights (q)_j d^j / j!, whose sum over j <= J is
+    (1-d)^-q I_{1-d}(q, J+1) (DLMF 8.17), one regularized incomplete beta.
     """
     if not 0.0 <= d < 1.0:
         raise DegenerateSpectrumError("decay base must lie in [0, 1)")
-    if d == 0.0:
-        if k_min > m:
-            return 0.0
-        return math.exp(gammaln(q) + gammaln(m + 1.0) - gammaln(m + q))
-    base = gammaln(m + 1.0) - gammaln(m + q)
-    ln_d = math.log(d)
-    total = 0.0
-    hi = m
-    block = 4096
-    while hi >= k_min:
-        lo = max(k_min, hi - block + 1)
-        k = np.arange(hi, lo - 1, -1, dtype=float)
-        t = np.exp((m - k) * ln_d + base + gammaln(m + q - k) - gammaln(m - k + 1.0))
-        total += float(t.sum())
-        past_peak = d * (m + q - lo) < (m - lo + 1.0)
-        if past_peak and t[-1] < _SERIES_RTOL * total:
-            break
-        hi = lo - 1
-    return total
+    return (math.gamma(q) * _gamma_ratio(m, q) * (1.0 - d) ** -q
+            * float(betainc(q, m - k_min + 1.0, 1.0 - d)))
 
 
 def quantization_factors(lam, bits: int) -> QuantizationFactors:
@@ -230,8 +228,7 @@ def delta1_miso(n_t: int, bits: int) -> LossEstimate:
         raise ValueError("n_t must be at least 2")
     m = _check_bits(bits, MAX_CLOSED_FORM_BITS)
     y = n_t / (n_t - 1.0)
-    beta = float(np.exp(gammaln(m) + gammaln(y) - gammaln(m + y)))
-    return LossEstimate(m * beta, "exact")
+    return LossEstimate(math.gamma(y) * _gamma_ratio(m, y), "exact")
 
 
 def delta1_asympt(lam, bits: int) -> LossEstimate:
@@ -306,15 +303,20 @@ def mi_factors2(lam, rho: float) -> MiFactors2:
                       s=(1.0 + rho * lam[1]) / rho)
 
 
+@cache
+def _gauss_laguerre():
+    return np.polynomial.laguerre.laggauss(64)
+
+
 def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     """Two-antenna closed-form mean rate loss.
 
-    Evaluated through two cancellation-free expansions around z: an
-    alternating tail series for z < 1 and a reciprocal-power sum for z >= 1
-    (the direct bracket form alternates in sign with the codebook size and is
-    unstable; see the z-tail identity in the tests).  The tail series raises
-    ResourceLimitError when 1e6 terms do not converge it, which happens just
-    below z = 1.
+    ln2 * loss = z int_0^1 s^m / (1 + z s) ds (Euler's integral, DLMF
+    15.6.1), which s = exp(-v/(m+1)) turns into z/(m+1) times the integral
+    of e^-v / (1 + z exp(-v/(m+1))) over v > 0: a positive, bounded integrand
+    for Gauss-Laguerre.  For m < 16 and z >= 1 the integrand's step is too
+    sharp for the rule, and the polynomial division of the first integral,
+    a finite sum of m terms in 1/z, is used instead.
     """
     lam = check_spectrum(lam)
     if lam.size != 2:
@@ -322,19 +324,13 @@ def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     _require_gap12(lam)
     m = _check_bits(bits, MAX_CLOSED_FORM_BITS)
     z = mi_factors2(lam, rho).z
-    if z < 1.0:
-        total = 0.0
-        term_base = 1.0
-        for j in range(1, MAX_TAIL_TERMS + 1):
-            term_base *= z
-            term = ((-1.0) ** (j + 1)) * term_base / (m + j)
-            total += term
-            if abs(term) < 1e-17 * max(abs(total), 1e-300):
-                return LossEstimate(total / _LN2, "exact")
-        raise ResourceLimitError("z-tail series failed to converge within 1e6 terms")
-    u = np.arange(m, dtype=float)
-    series = float(np.sum(((-1.0) ** u) * z ** (-u) / (m - u)))
-    delta = ((-1.0) ** m) * z ** (-float(m)) * math.log1p(z) + series
+    if m < 16 and z >= 1.0:
+        u = np.arange(m, dtype=float)
+        series = float(np.sum(((-1.0) ** u) * z ** (-u) / (m - u)))
+        delta = ((-1.0) ** m) * z ** (-float(m)) * math.log1p(z) + series
+    else:
+        v, w = _gauss_laguerre()
+        delta = z / (m + 1.0) * float(w @ (1.0 / (1.0 + z * np.exp(-v / (m + 1.0)))))
     return LossEstimate(delta / _LN2, "exact")
 
 

@@ -1,5 +1,6 @@
 """Shared constructors for the test suite."""
 
+import mpmath as mp
 import numpy as np
 
 from rvqlab.channel import ChannelRealization
@@ -80,3 +81,35 @@ def einsum_best_quotients(pairs, bits, n_codebooks, stream, block=1 << 16):
                     "cki,ij,ckj->ck", fc, nn, f).real
                 np.maximum(out[k], (num / den).max(axis=1), out=out[k])
     return best
+
+
+def mpmath_loss(lam, bits, rho=None):
+    """40-digit mean gain loss (rho None) or rate loss in bits.
+
+    Integrates F(x)**m with ``mpmath.quad`` from a CDF written independently
+    of ``wnorm``: the divided-difference form
+    F(x) = 1 - sum_{l_i > x} (l_i - x)^(n-1) / prod_{j != i} (l_i - l_j) for
+    distinct eigenvalues, and the Beta law of |f_1|^2 when every trailing
+    eigenvalue is tied.
+    """
+    with mp.workdps(40):
+        lam = [mp.mpf(v) for v in lam]
+        n = len(lam)
+        if all(v == lam[1] for v in lam[1:]):
+            def cdf(x):
+                return 1 - ((lam[0] - x) / (lam[0] - lam[1])) ** (n - 1)
+        else:
+            dens = [mp.fprod(lam[i] - lam[j] for j in range(n) if j != i)
+                    for i in range(n)]
+
+            def cdf(x):
+                return 1 - mp.fsum((lam[i] - x) ** (n - 1) / dens[i]
+                                   for i in range(n) if lam[i] > x)
+        m = 2 ** bits
+        if rho is None:
+            weight = 1 / lam[0]
+            integrand = lambda x: cdf(x) ** m * weight
+        else:
+            rho = mp.mpf(rho)
+            integrand = lambda x: rho * cdf(x) ** m / ((1 + rho * x) * mp.log(2))
+        return mp.quad(integrand, sorted(set(lam)))

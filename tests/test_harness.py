@@ -1,7 +1,9 @@
 """Tests for experiment configs, the preset runner, and the CLI."""
 
+import csv
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
@@ -147,6 +149,7 @@ _BAD_CONFIGS = [
     ('{"experiment": "custom", "model": {"kind": "iid", "n_t": "x", '
      '"n_r": 2}}', "model"),
     ('{"experiment": "fig5b", "bits_range": [3, 5]}', "bits_range"),
+    ('{"experiment": "fig2", "bits_range": [1, 1]}', "bits_range"),
     ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 2.7, '
      '"n_r": 2}}', "model"),
     ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 2, '
@@ -295,6 +298,21 @@ def test_cli_run_seed_override(tmp_path):
     assert manifest["seed"] == 5
 
 
+@pytest.mark.parametrize("rho", [1e5, 1e6])
+def test_cli_runs_fig5a_near_z_one(tmp_path, rho):
+    # at these powers [2, 1] has z within 1e-5 of 1, where an alternating
+    # series in z does not converge within a million terms
+    path = tmp_path / "cfg.json"
+    path.write_text(ExperimentConfig(
+        experiment="fig5a", rho=rho, bits_range=[1, 12], trials={"codebooks": 4},
+        output_dir=str(tmp_path / "out")).to_json())
+    assert main(["run", "--config", str(path)]) == 0
+    lines = (tmp_path / "out" / "fig5a.csv").read_text().splitlines()
+    rows = list(csv.DictReader(s for s in lines if not s.startswith("#")))
+    assert len(rows) == 6
+    assert all(math.isfinite(float(r["delta2_closed"])) for r in rows)
+
+
 def test_cli_reports_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
@@ -320,17 +338,19 @@ _TINY = {
 }
 
 
-# sha256 of each _TINY CSV at seed 3, as the complex-einsum Monte Carlo kernel
-# wrote them; the real-arithmetic kernel keeps every byte.  Recorded with
+# sha256 of each _TINY CSV at seed 3.  The Monte Carlo and stderr columns
+# are the bytes the complex-einsum kernel wrote; the closed-form columns of
+# fig2, fig5a and fig5b (and of the sliced fig2 pin below) are those of the
+# incomplete-beta theorem sum and the Gauss-Laguerre rate loss.  Recorded with
 # numpy 2.4 and scipy 1.17 on x86-64: another libm may round differently.
 _TINY_SHA256 = {
     "fig1": "4d7620e79aa8063c9327614f4dd38c43eb2470dfca2b8693eb20e26d3bf3d56d",
-    "fig2": "75d2a68f5e5a60c2a524217108dcbbfcae456ab63d46f643cea2f6bd57b3d34a",
+    "fig2": "9d000882cdd94f28c8197e1922556100fde6da47bd8f2c669de162357b1d0beb",
     "fig3": "a0ae53757cb7a4071f865b1d914eee424d9ec43935f223b1a14be86e9aa7e81c",
     "fig4a": "092929a840fa1044e35b105c55b2b6408d25f881314469bb561047ed64d57901",
     "fig4b": "f09f9586b418757e6a929c019136e683741c0cc3501d0488004b4c45293404ff",
-    "fig5a": "68ac7aea90f47671696678c37a0bfa6d98e3066db040ed0e24bcf642da6c391e",
-    "fig5b": "dd71034ae203eb4802b4b36e1381a01ab00243f64f309cac0a33c87f7cdb79f6",
+    "fig5a": "66f2e55733b535e6c73a4720807e943150cf8d8f82ac3f7296c9d51db5ef881e",
+    "fig5b": "401d73def6529acc2ed0b59c452f7f742a7e64a4e7989371b8fa152e3d04987f",
     "fig6a": "a9bec67bb5037ec34aadfc6129a5c4758e06be6c8788ae55e4fb9d224bb96eb9",
     "fig6b": "104045cc2dc64d0db29e7af285d380333cc9c412a154c93415ad70f6158535dc",
     "fig6c": "6bfce21f4701d9ed9fcbf6170aae372a925ebac31e29c48d4f9c6f9965bcec05",
@@ -363,4 +383,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "56e7ce83b2a0052dcde2e26549fcfe9fd35c8f4591c0484d17a5684665dc8e94")
+        "09db450bf6cd5a89c44175af59f50702674e417fe38e5c48b5c41a2ea83cb157")

@@ -2,19 +2,21 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diag_channel
+from helpers import diag_channel, mpmath_loss
 from rvqlab.channel import FixedSpectrumModel, sample_channel
 from rvqlab.errors import (DegenerateSpectrumError, ResourceLimitError,
                            UnsupportedModelError)
-from rvqlab.loss import (delta1_appx, delta1_asympt, delta1_closed,
-                         delta1_exact, delta1_mc, delta1_miso,
+from rvqlab.loss import (_theorem_sum, delta1_appx, delta1_asympt,
+                         delta1_closed, delta1_exact, delta1_mc, delta1_miso,
                          delta1_quadrature, epsilon_b, epsilon_b_log2,
                          quantization_factors)
 from rvqlab.rng import RngStream
+from rvqlab.wnorm import GAP_RTOL
 
 
 def test_quantization_factors():
@@ -151,6 +153,90 @@ def test_miso_decay_slope():
     ys = [math.log2(delta1_miso(4, b).value) for b in range(6, 15)]
     slope = np.polyfit(range(6, 15), ys, 1)[0]
     assert slope == pytest.approx(-1.0 / 3.0, rel=0.05)
+
+
+def _theorem_sum_reference(m, q, d, k_min):
+    """40-digit theorem sum: Gamma(q) Gamma(m+1)/Gamma(m+q) times the
+    negative-binomial head sum_{j <= J} (q)_j d^j / j!, J = m - k_min, here
+    (1-d)^-q I_{1-d}(q, J+1) by mpmath's incomplete beta.  Where the first
+    omitted term is below e^-150 the head is the whole series (1-d)^-q, and
+    mpmath's betainc, left to resolve a tail that small, does not converge."""
+    q, d, j = mp.mpf(q), mp.mpf(d), m - k_min
+    head = (1 - d) ** -q
+    if d > 0 and (j + 1) * mp.log(d) + mp.log(mp.rf(q, j + 1)
+                                              / mp.factorial(j + 1)) > -150:
+        head *= mp.betainc(q, j + 1, 0, 1 - d, regularized=True)
+    return mp.gamma(q) * mp.gamma(m + 1) / mp.gamma(m + q) * head
+
+
+def _worst(name, pairs):
+    """Largest relative error over (got, want) pairs, printed under name."""
+    worst = max(float(abs(got - want) / want) for got, want in pairs)
+    print(f"{name}: worst relative error {worst:.1e}")
+    return worst
+
+
+def test_theorem_sum_matches_mpmath():
+    grid = [(1 << bits, q, d, k_min)
+            for q in (1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 63)
+            for d in (0.0, 0.1, 0.5, 0.99, 1.0 - 1e-6) for k_min in (0, 1)
+            for bits in range(0, 21)]
+    with mp.workdps(40):
+        want = {args: _theorem_sum_reference(*args) for args in grid}
+        for (m, q, d, k_min), w in want.items():
+            if m <= 64:  # the reference is the term-by-term sum
+                q, d = mp.mpf(q), mp.mpf(d)
+                direct = mp.fsum(mp.gamma(q + j) / mp.factorial(j) * d ** j
+                                 for j in range(m - k_min + 1))
+                direct *= mp.gamma(m + 1) / mp.gamma(m + q)
+                assert abs(direct - w) <= mp.mpf(10) ** -30 * w
+        assert _worst("_theorem_sum", [(_theorem_sum(*args), w)
+                                       for args, w in want.items()]) <= 1e-13
+
+
+def test_exact_three_antennas_matches_mpmath():
+    # r = (l2 - l3)/(l1 - l3) near one at [1, 0.999, 0.3]; a top gap just
+    # above the guard puts almost all the loss in r^m
+    spectra = ([3.0, 2.0, 1.0], [1.0, 0.999, 0.3],
+               [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5])
+    assert _worst("delta1_exact", [(delta1_exact(lam, bits).value,
+                                    mpmath_loss(lam, bits))
+                                   for lam in spectra
+                                   for bits in range(0, 21)]) <= 1e-13
+
+
+def _appx_reference(lam, bits):
+    """40-digit delta1_appx: q/(m+q) (1 - l2/l1) times the theorem sum at
+    q = 1/(n-1) and d = 1 - prod_j (l1-l2)/(l1-lj), all from lam."""
+    m, n = 1 << bits, len(lam)
+    with mp.workdps(40):
+        lam = [mp.mpf(v) / mp.mpf(lam[0]) for v in lam]
+        q = mp.mpf(1) / (n - 1)
+        d = 1 - mp.fprod((lam[0] - lam[1]) / (lam[0] - v) for v in lam[1:])
+        return q / (m + q) * (1 - lam[1]) * _theorem_sum_reference(m, q, d, 0)
+
+
+def test_appx_matches_mpmath():
+    spectra = ([2.0, 1.0], [3.0, 2.0, 1.0], [1.0, 0.999, 0.3],
+               [4.0, 3.0, 2.0, 1.0], [1.0, 0.5, 0.5, 0.5],
+               [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+    assert _worst("delta1_appx", [(delta1_appx(lam, bits).value,
+                                   _appx_reference(lam, bits))
+                                  for lam in spectra
+                                  for bits in range(0, 21)]) <= 1e-13
+
+
+def test_miso_matches_mpmath():
+    # m Beta(m, y) = Gamma(y) Gamma(m+1) / Gamma(m+y), y = n/(n-1)
+    pairs = []
+    with mp.workdps(40):
+        for n in (2, 3, 4, 8):
+            y = mp.mpf(n) / (n - 1)
+            for bits in range(0, 21):
+                m = 1 << bits
+                pairs.append((delta1_miso(n, bits).value,
+                              mp.gamma(y) * mp.gamma(m + 1) / mp.gamma(m + y)))
+    assert _worst("delta1_miso", pairs) <= 1e-13
 
 
 def test_asympt_needs_three_antennas():

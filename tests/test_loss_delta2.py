@@ -8,7 +8,7 @@ import pytest
 
 from helpers import diag_channel
 from rvqlab.channel import FixedSpectrumModel, KroneckerModel
-from rvqlab.errors import ResourceLimitError, UnsupportedModelError
+from rvqlab.errors import UnsupportedModelError
 from rvqlab.loss import (avg_delta_mi, avg_delta_snr, delta1_mc,
                          delta1_quadrature, delta2_appx, delta2_asympt,
                          delta2_exact2, delta2_mc, delta2_quadrature,
@@ -54,29 +54,37 @@ def test_exact2_vanishing_gap_limit():
     assert delta2_exact2([2.0, 1.0], 1e-9, 4).value < 1e-9
 
 
-def _capped_tail_series(lam, rho, bits):
-    """The z < 1 tail series of delta2_exact2 as it was before it raised:
-    it stopped after 1e6 terms and returned whatever it had summed."""
-    z = mi_factors2(lam, rho).z
+def _exact2_reference(z, bits):
+    """40-digit two-antenna rate loss z/(m+1) 2F1(1, m+1; m+2; -z) / ln 2,
+    the sum over j of (-z)^(j+1) / (m+1+j) continued past z = 1."""
     m = 1 << bits
-    total = 0.0
-    term_base = 1.0
-    j = 1
-    while True:
-        term_base *= z
-        term = ((-1.0) ** (j + 1)) * term_base / (m + j)
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300) or j > 10 ** 6:
-            break
-        j += 1
-    return total / LN2
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        return z / (m + 1) * mpmath.hyp2f1(1, m + 1, m + 2, -z) / mpmath.log(2)
 
 
-def test_exact2_tail_series_raises_instead_of_stopping_at_the_cap():
-    # z = 1 - 5e-10: a million terms leave the alternating tail far from its
-    # sum; the capped value was 51% above the quadrature oracle at b = 20
-    with pytest.raises(ResourceLimitError):
-        delta2_exact2([3.0, 1.0], 1.0 - 1e-9, 20)
+def _exact2_worst_error(points):
+    """Largest relative error of delta2_exact2 at (lam, rho) and bits 0-20."""
+    worst = 0.0
+    for lam, rho in points:
+        z = mi_factors2(lam, rho).z
+        for bits in range(0, 21):
+            want = _exact2_reference(z, bits)
+            got = delta2_exact2(lam, rho, bits).value
+            worst = max(worst, float(abs(got - want) / want))
+    print(f"delta2_exact2: worst relative error {worst:.1e}")
+    return worst
+
+
+# both sides of z = 1, at it and within 1e-9 of it; lam = [1, 0] makes z = rho
+_Z_GRID = (1e-6, 0.01, 0.5, 1.0 - 5e-10, 1.0, 1.0 + 1e-9, 2.0, 101.0, 1e4, 1e9)
+
+
+def test_exact2_matches_mpmath_across_z():
+    # [3, 1] at rho = 1 - 1e-9 has z = 1 - 5e-10, where an alternating series
+    # in z needs far more than a million terms
+    points = [([1.0, 0.0], z) for z in _Z_GRID] + [([3.0, 1.0], 1.0 - 1e-9)]
+    assert _exact2_worst_error(points) <= 1e-13
 
 
 # fig5b's SNR grid (fig5a runs at rho = 1); every point has z <= 100/101
@@ -86,9 +94,7 @@ _FIG5B_RHOS = (0.1, 0.31622776601683794, 1.0, 3.1622776601683795, 10.0,
 
 @pytest.mark.parametrize("rho", _FIG5B_RHOS)
 def test_exact2_preset_points_keep_their_values(rho):
-    for bits in range(0, 21):
-        assert (delta2_exact2([2.0, 1.0], rho, bits).value
-                == _capped_tail_series([2.0, 1.0], rho, bits))
+    assert _exact2_worst_error([([2.0, 1.0], rho)]) <= 1e-13
 
 
 def test_scale_snr_tradeoff_invariance():

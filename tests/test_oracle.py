@@ -1,18 +1,12 @@
-"""The deterministic loss oracles against 40-digit references.
-
-The reference integrates F(x)**m with ``mpmath.quad`` from a CDF written
-independently of ``wnorm``: the divided-difference form
-F(x) = 1 - sum_{l_i > x} (l_i - x)^(n-1) / prod_{j != i} (l_i - l_j) for
-distinct eigenvalues, and the Beta law of |f_1|^2 when every trailing
-eigenvalue is tied.
-"""
+"""The deterministic loss oracles against 40-digit references
+(``helpers.mpmath_loss``)."""
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
+from helpers import mpmath_loss
 from rvqlab.errors import ResourceLimitError
 from rvqlab.loss import (_deficit_integrand, _normalized, delta1_quadrature,
                          delta2_quadrature)
@@ -33,35 +27,10 @@ BITS = [0, 1, 2, 4, 8, 12, 16, 20, 24]  # fig3's validate cap is 24
 RHO = 3.0
 
 
-def _reference(lam, bits, rho=None):
-    """40-digit mean gain loss (rho None) or rate loss in bits."""
-    with mp.workdps(40):
-        lam = [mp.mpf(v) for v in lam]
-        n = len(lam)
-        if all(v == lam[1] for v in lam[1:]):
-            def cdf(x):
-                return 1 - ((lam[0] - x) / (lam[0] - lam[1])) ** (n - 1)
-        else:
-            dens = [mp.fprod(lam[i] - lam[j] for j in range(n) if j != i)
-                    for i in range(n)]
-
-            def cdf(x):
-                return 1 - mp.fsum((lam[i] - x) ** (n - 1) / dens[i]
-                                   for i in range(n) if lam[i] > x)
-        m = 2 ** bits
-        if rho is None:
-            weight = 1 / lam[0]
-            integrand = lambda x: cdf(x) ** m * weight
-        else:
-            rho = mp.mpf(rho)
-            integrand = lambda x: rho * cdf(x) ** m / ((1 + rho * x) * mp.log(2))
-        return mp.quad(integrand, sorted(set(lam)))
-
-
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("lam", SPECTRA, ids=str)
 def test_gain_loss_oracle_matches_mpmath(lam, bits):
-    want = _reference(lam, bits)
+    want = mpmath_loss(lam, bits)
     got = delta1_quadrature(lam, bits).value
     assert abs(got - want) <= 1e-10 * want
 
@@ -69,7 +38,7 @@ def test_gain_loss_oracle_matches_mpmath(lam, bits):
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("lam", SPECTRA, ids=str)
 def test_rate_loss_oracle_matches_mpmath(lam, bits):
-    want = _reference(lam, bits, RHO)
+    want = mpmath_loss(lam, bits, RHO)
     got = delta2_quadrature(lam, RHO, bits).value
     assert abs(got - want) <= 1e-10 * want
 
