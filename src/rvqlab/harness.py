@@ -119,8 +119,9 @@ def validate(config: ExperimentConfig) -> list:
             issues.append(f"bits_range: {b} exceeds the closed-form cap "
                           f"{loss.MAX_CLOSED_FORM_BITS}")
     if isinstance(bits, list):  # a repeated b would rerun its random stream
+        ints = [b for b in bits if _is(b, int)]  # 1.0 and True are bad entries
         issues += [f"bits_range: repeated entry {b}" for b in
-                   sorted({b for b in bits if _is(b, int) and bits.count(b) > 1})]
+                   sorted({b for b in ints if ints.count(b) > 1})]
     if preset.single_b and isinstance(bits, list) and len(bits) > 1:
         issues.append(f"bits_range: {exp} takes a single entry")
     rho = given("rho", config.rho, preset.rho is not None)

@@ -94,34 +94,43 @@ def _require_all_gaps(lam):
         raise DegenerateSpectrumError("spectrum has a gap below 1e-9 relative")
 
 
-def _gamma_ratio(m: int, q: float) -> float:
-    """Gamma(m+1)/Gamma(m+q) for q > 0.
+def _m_beta(m: int, q: float) -> float:
+    """m B(m, q) = Gamma(q) Gamma(m+1)/Gamma(m+q) = m!/(q)_m for q > 0.
 
-    Exact ratio of gammas below m = 32; above, Stirling's series with the
-    large logarithms cancelled by hand, since ln Gamma(m+1) - ln Gamma(m+q)
-    taken as a difference loses about m ln m ulps.
+    Exact gammas up to 32, the product m!/(q)_m for m < 32, and otherwise
+    Stirling's series with each large logarithm taken of a ratio: a difference
+    of ln Gamma loses m ln m ulps, and Gamma(q) overflows past q = 171.
     """
+    if m < 32 and q <= 32.0:
+        return math.gamma(q) * (math.gamma(m + 1.0) / math.gamma(m + q))
     if m < 32:
-        return math.gamma(m + 1.0) / math.gamma(m + q)
+        return math.prod(j / (q + j - 1.0) for j in range(1, m + 1))
 
     def mu(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
         return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
 
-    return math.exp((m + 0.5) * math.log1p((1.0 - q) / (m + q))
-                    + (1.0 - q) * (math.log(m + q) - 1.0) + mu(m + 1.0) - mu(m + q))
+    if q <= 32.0:
+        return math.gamma(q) * math.exp((m + 0.5) * math.log1p((1.0 - q) / (m + q))
+                                        + (1.0 - q) * (math.log(m + q) - 1.0)
+                                        + mu(m + 1.0) - mu(m + q))
+    return math.exp(0.5 * math.log(2.0 * math.pi * (m + q)) - 1.0
+                    - (q - 0.5) * math.log1p(m / q)
+                    - (m + 0.5) * math.log1p((q - 1.0) / (m + 1.0))
+                    + mu(q) + mu(m + 1.0) - mu(m + q))
+
+
+def _nb_head(q: float, j: int, d: float) -> float:
+    """(1-d)^q sum_{i<=j} (q)_i d^i / i! = I_{1-d}(q, j+1) (DLMF 8.17)."""
+    if not 0.0 <= d < 1.0:
+        raise DegenerateSpectrumError("decay base must lie in [0, 1)")
+    return float(betainc(q, j + 1.0, 1.0 - d))
 
 
 def _theorem_sum(m: int, q: float, d: float, k_min: int = 0) -> float:
-    """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)).
-
-    With j = m - k the terms are Gamma(q) Gamma(m+1)/Gamma(m+q) times the
-    negative-binomial weights (q)_j d^j / j!, whose sum over j <= J is
-    (1-d)^-q I_{1-d}(q, J+1) (DLMF 8.17), one regularized incomplete beta.
-    """
-    if not 0.0 <= d < 1.0:
-        raise DegenerateSpectrumError("decay base must lie in [0, 1)")
-    return (math.gamma(q) * _gamma_ratio(m, q) * (1.0 - d) ** -q
-            * float(betainc(q, m - k_min + 1.0, 1.0 - d)))
+    """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)), which
+    with j = m - k is m B(m, q) times the head j <= m - k_min of the negative
+    binomial series sum_j (q)_j d^j / j! = (1-d)^-q."""
+    return _m_beta(m, q) * (1.0 - d) ** -q * _nb_head(q, m - k_min, d)
 
 
 def quantization_factors(lam, bits: int) -> QuantizationFactors:
@@ -164,10 +173,8 @@ def delta1_appx(lam, bits: int) -> LossEstimate:
     general with relative defect bounded by epsilon_b.
     """
     lam = _normalized(lam)
-    n = lam.size
     qf = quantization_factors(lam, bits)
-    q = 1.0 / (n - 1)
-    c = _theorem_sum(qf.m, q, qf.d)
+    c = _theorem_sum(qf.m, 1.0 / (lam.size - 1), qf.d)
     return LossEstimate(qf.a_n * (1.0 - lam[1]) * c, "approx")
 
 
@@ -228,7 +235,7 @@ def delta1_miso(n_t: int, bits: int) -> LossEstimate:
         raise ValueError("n_t must be at least 2")
     m = _check_bits(bits, MAX_CLOSED_FORM_BITS)
     y = n_t / (n_t - 1.0)
-    return LossEstimate(math.gamma(y) * _gamma_ratio(m, y), "exact")
+    return LossEstimate(_m_beta(m, y), "exact")
 
 
 def delta1_asympt(lam, bits: int) -> LossEstimate:
@@ -259,9 +266,7 @@ def epsilon_b_log2(lam, bits: int) -> float:
     """log2 of the defect bound; usable far past floating-point underflow."""
     lam = _normalized(lam)
     qf = quantization_factors(lam, bits)
-    if lam[1] - lam[-1] <= 0.0:
-        return -math.inf
-    if qf.d == 0.0:
+    if lam[1] - lam[-1] <= 0.0 or qf.d == 0.0:
         return -math.inf
     appx = delta1_appx(lam, bits).value
     return (math.log2(lam[1] - lam[-1]) + qf.m * math.log2(qf.d)
@@ -311,12 +316,10 @@ def _gauss_laguerre():
 def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     """Two-antenna closed-form mean rate loss.
 
-    ln2 * loss = z int_0^1 s^m / (1 + z s) ds (Euler's integral, DLMF
-    15.6.1), which s = exp(-v/(m+1)) turns into z/(m+1) times the integral
-    of e^-v / (1 + z exp(-v/(m+1))) over v > 0: a positive, bounded integrand
-    for Gauss-Laguerre.  For m < 16 and z >= 1 the integrand's step is too
-    sharp for the rule, and the polynomial division of the first integral,
-    a finite sum of m terms in 1/z, is used instead.
+    ln2 * loss = z int_0^1 s^m / (1 + z s) ds (Euler's integral, DLMF 15.6.1)
+    = z/(m+1) int_0^inf e^-v / (1 + z exp(-v/(m+1))) dv, by Gauss-Laguerre.
+    For m < 16 and z >= 1 that integrand steps too sharply for the rule, and
+    the first integral's polynomial division, m terms in 1/z, is used instead.
     """
     lam = check_spectrum(lam)
     if lam.size != 2:
@@ -350,7 +353,7 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     """Dominant-segment rate-loss approximant for n >= 3.
 
     Outer geometric-style series with per-order inner sums; truncated at
-    1e-12 relative with a hard cap of 1e4 orders.
+    the first term below 1e-12 of the sum, with a hard cap of 1e4 orders.
     """
     lam = check_spectrum(lam)
     n = lam.size
@@ -366,8 +369,8 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     total = 0.0
     for i in range(MAX_OUTER_TERMS):
         q_i = (i + 1.0) / (n - 1.0)
-        term = (gamma ** i * (1.0 - d) ** q_i / (m + q_i)
-                * _theorem_sum(m, q_i, d))
+        # (1-d)^q_i times the theorem sum, whose factors overflow apart
+        term = gamma ** i / (m + q_i) * _m_beta(m, q_i) * _nb_head(q_i, m, d)
         total += term
         if term < 1e-12 * total:
             return LossEstimate(pref * total, "approx")
@@ -399,9 +402,8 @@ def delta2_asympt(lam, rho: float, bits: int, method: str = "prop3") -> LossEsti
     n = lam.size
     if rho <= 0:
         raise ValueError("rho must be positive")
-    _check_bits(bits)
+    m = _check_bits(bits)
     _require_gap12(lam)
-    m = 1 << bits
     d = 1.0 - float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
     kappa = math.gamma(1.0 / (n - 1))
     if method == "prop3":

@@ -83,6 +83,13 @@ def einsum_best_quotients(pairs, bits, n_codebooks, stream, block=1 << 16):
     return best
 
 
+def worst_relative_error(name, pairs):
+    """Largest relative error over (got, want) pairs, printed under name."""
+    worst = max(float(abs(got - want) / want) for got, want in pairs)
+    print(f"{name}: worst relative error {worst:.1e}")
+    return worst
+
+
 def mpmath_loss(lam, bits, rho=None):
     """40-digit mean gain loss (rho None) or rate loss in bits.
 

@@ -60,6 +60,15 @@ def test_validate_clean_config():
     assert validate(ExperimentConfig(experiment="fig6d")) == []
 
 
+@pytest.mark.parametrize("bits, want", [
+    ([1, 1, 2], ["bits_range: repeated entry 1"]),
+    ([1, 1.0], ["bits_range: bad entry 1.0"]),
+    ([1, True], ["bits_range: bad entry True"]),
+])
+def test_validate_refuses_each_bad_or_repeated_entry_once(bits, want):
+    assert validate(ExperimentConfig(experiment="fig2", bits_range=bits)) == want
+
+
 _IID2 = {"kind": "iid", "n_t": 2, "n_r": 2}
 # every field each preset reads, with its default (a model has none: custom
 # needs one); every other field is refused
@@ -341,7 +350,8 @@ _TINY = {
 # sha256 of each _TINY CSV at seed 3.  The Monte Carlo and stderr columns
 # are the bytes the complex-einsum kernel wrote; the closed-form columns of
 # fig2, fig5a and fig5b (and of the sliced fig2 pin below) are those of the
-# incomplete-beta theorem sum and the Gauss-Laguerre rate loss.  Recorded with
+# incomplete-beta theorem sum and the Gauss-Laguerre rate loss, with the
+# rate-loss approximant summing (1-d)^q times the theorem sum.  Recorded with
 # numpy 2.4 and scipy 1.17 on x86-64: another libm may round differently.
 _TINY_SHA256 = {
     "fig1": "4d7620e79aa8063c9327614f4dd38c43eb2470dfca2b8693eb20e26d3bf3d56d",
@@ -349,8 +359,8 @@ _TINY_SHA256 = {
     "fig3": "a0ae53757cb7a4071f865b1d914eee424d9ec43935f223b1a14be86e9aa7e81c",
     "fig4a": "092929a840fa1044e35b105c55b2b6408d25f881314469bb561047ed64d57901",
     "fig4b": "f09f9586b418757e6a929c019136e683741c0cc3501d0488004b4c45293404ff",
-    "fig5a": "66f2e55733b535e6c73a4720807e943150cf8d8f82ac3f7296c9d51db5ef881e",
-    "fig5b": "401d73def6529acc2ed0b59c452f7f742a7e64a4e7989371b8fa152e3d04987f",
+    "fig5a": "6cc722bb5e784586a9d4a0fa860715a455c74e957bb39af2629ba42c6cda69a4",
+    "fig5b": "3efd30430ea77c3d673f4f12cdd758c9e4e44f0f13ca73201046f33871fe63dd",
     "fig6a": "a9bec67bb5037ec34aadfc6129a5c4758e06be6c8788ae55e4fb9d224bb96eb9",
     "fig6b": "104045cc2dc64d0db29e7af285d380333cc9c412a154c93415ad70f6158535dc",
     "fig6c": "6bfce21f4701d9ed9fcbf6170aae372a925ebac31e29c48d4f9c6f9965bcec05",

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diag_channel, mpmath_loss
+from helpers import diag_channel, mpmath_loss, worst_relative_error
 from rvqlab.channel import FixedSpectrumModel, sample_channel
 from rvqlab.errors import (DegenerateSpectrumError, ResourceLimitError,
                            UnsupportedModelError)
-from rvqlab.loss import (_theorem_sum, delta1_appx, delta1_asympt,
-                         delta1_closed, delta1_exact, delta1_mc, delta1_miso,
-                         delta1_quadrature, epsilon_b, epsilon_b_log2,
-                         quantization_factors)
+from rvqlab.loss import (_m_beta, _theorem_sum, delta1_appx,
+                         delta1_asympt, delta1_closed, delta1_exact, delta1_mc,
+                         delta1_miso, delta1_quadrature, epsilon_b,
+                         epsilon_b_log2, quantization_factors)
 from rvqlab.rng import RngStream
 from rvqlab.wnorm import GAP_RTOL
 
@@ -169,13 +169,6 @@ def _theorem_sum_reference(m, q, d, k_min):
     return mp.gamma(q) * mp.gamma(m + 1) / mp.gamma(m + q) * head
 
 
-def _worst(name, pairs):
-    """Largest relative error over (got, want) pairs, printed under name."""
-    worst = max(float(abs(got - want) / want) for got, want in pairs)
-    print(f"{name}: worst relative error {worst:.1e}")
-    return worst
-
-
 def test_theorem_sum_matches_mpmath():
     grid = [(1 << bits, q, d, k_min)
             for q in (1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 63)
@@ -190,8 +183,25 @@ def test_theorem_sum_matches_mpmath():
                                  for j in range(m - k_min + 1))
                 direct *= mp.gamma(m + 1) / mp.gamma(m + q)
                 assert abs(direct - w) <= mp.mpf(10) ** -30 * w
-        assert _worst("_theorem_sum", [(_theorem_sum(*args), w)
-                                       for args, w in want.items()]) <= 1e-13
+        assert worst_relative_error("_theorem_sum", [
+            (_theorem_sum(*args), w) for args, w in want.items()]) <= 1e-13
+
+
+def test_m_beta_matches_mpmath_at_large_q():
+    # the rate-loss approximant's outer orders reach q = 1e4 / (n-1), past
+    # the overflow of Gamma(q) at 171.6.  Weights below 1e-100 are left out:
+    # the rounding of their logarithm, past -230, alone nears 1e-13 relative,
+    # and no rate-loss term that small counts
+    pairs = []
+    with mp.workdps(40):
+        for q in (31.9, 32.0, 33.0, 100.0, 171.7, 1000.0, 5000.0):
+            for bits in range(0, 21):
+                m, qq = 1 << bits, mp.mpf(q)
+                want = mp.gamma(qq) * mp.gamma(m + 1) / mp.gamma(m + qq)
+                if want > mp.mpf(10) ** -100:
+                    pairs.append((_m_beta(m, q), want))
+    assert len(pairs) > 50
+    assert worst_relative_error("_m_beta", pairs) <= 1e-13
 
 
 def test_exact_three_antennas_matches_mpmath():
@@ -199,10 +209,9 @@ def test_exact_three_antennas_matches_mpmath():
     # above the guard puts almost all the loss in r^m
     spectra = ([3.0, 2.0, 1.0], [1.0, 0.999, 0.3],
                [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5])
-    assert _worst("delta1_exact", [(delta1_exact(lam, bits).value,
-                                    mpmath_loss(lam, bits))
-                                   for lam in spectra
-                                   for bits in range(0, 21)]) <= 1e-13
+    assert worst_relative_error("delta1_exact", [
+        (delta1_exact(lam, bits).value, mpmath_loss(lam, bits))
+        for lam in spectra for bits in range(0, 21)]) <= 1e-13
 
 
 def _appx_reference(lam, bits):
@@ -220,10 +229,9 @@ def test_appx_matches_mpmath():
     spectra = ([2.0, 1.0], [3.0, 2.0, 1.0], [1.0, 0.999, 0.3],
                [4.0, 3.0, 2.0, 1.0], [1.0, 0.5, 0.5, 0.5],
                [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
-    assert _worst("delta1_appx", [(delta1_appx(lam, bits).value,
-                                   _appx_reference(lam, bits))
-                                  for lam in spectra
-                                  for bits in range(0, 21)]) <= 1e-13
+    assert worst_relative_error("delta1_appx", [
+        (delta1_appx(lam, bits).value, _appx_reference(lam, bits))
+        for lam in spectra for bits in range(0, 21)]) <= 1e-13
 
 
 def test_miso_matches_mpmath():
@@ -236,7 +244,7 @@ def test_miso_matches_mpmath():
                 m = 1 << bits
                 pairs.append((delta1_miso(n, bits).value,
                               mp.gamma(y) * mp.gamma(m + 1) / mp.gamma(m + y)))
-    assert _worst("delta1_miso", pairs) <= 1e-13
+    assert worst_relative_error("delta1_miso", pairs) <= 1e-13
 
 
 def test_asympt_needs_three_antennas():

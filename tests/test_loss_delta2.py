@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import diag_channel
+from helpers import diag_channel, worst_relative_error
 from rvqlab.channel import FixedSpectrumModel, KroneckerModel
 from rvqlab.errors import UnsupportedModelError
 from rvqlab.loss import (avg_delta_mi, avg_delta_snr, delta1_mc,
@@ -65,15 +65,10 @@ def _exact2_reference(z, bits):
 
 def _exact2_worst_error(points):
     """Largest relative error of delta2_exact2 at (lam, rho) and bits 0-20."""
-    worst = 0.0
-    for lam, rho in points:
-        z = mi_factors2(lam, rho).z
-        for bits in range(0, 21):
-            want = _exact2_reference(z, bits)
-            got = delta2_exact2(lam, rho, bits).value
-            worst = max(worst, float(abs(got - want) / want))
-    print(f"delta2_exact2: worst relative error {worst:.1e}")
-    return worst
+    return worst_relative_error("delta2_exact2", [
+        (delta2_exact2(lam, rho, bits).value,
+         _exact2_reference(mi_factors2(lam, rho).z, bits))
+        for lam, rho in points for bits in range(0, 21)])
 
 
 # both sides of z = 1, at it and within 1e-9 of it; lam = [1, 0] makes z = rho
@@ -162,6 +157,16 @@ def test_method2_cross_check():
                            ([1.0, 0.5, 0.2], 100.0, 8)):
         a = delta2_appx(lam, rho, bits).value
         assert a == pytest.approx(_method2(lam, rho, bits), rel=1e-12)
+
+
+def test_appx_slowly_converging_outer_series():
+    # gamma = 0.98: the outer orders reach q = 172 and beyond, past the
+    # overflow of Gamma(q).  The series stops at its first term below 1e-12
+    # of the sum, and the tail left is up to gamma/(1-gamma) = 49 times that
+    for bits in (0, 1):
+        a = delta2_appx([1.0, 0.01, 0.01], 100.0, bits).value
+        assert a == pytest.approx(_method2([1.0, 0.01, 0.01], 100.0, bits),
+                                  rel=1e-10)
 
 
 def test_epsilon_prime_flat_tail():
