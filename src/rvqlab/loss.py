@@ -60,6 +60,7 @@ class QuantizationFactors:
     a_n: float      # 1 / (m (n-1) + 1)
     p: float        # 2/(n-1) - 1
     d: float        # 1 - prod_j (l1-l2)/(l1-lj), the decay base
+    c: float        # 1 - d as the product itself: d rounds to 1 for n >= 4
     kappa: float    # Gamma(1/(n-1))
 
 
@@ -119,18 +120,19 @@ def _m_beta(m: int, q: float) -> float:
                     + mu(q) + mu(m + 1.0) - mu(m + q))
 
 
-def _nb_head(q: float, j: int, d: float) -> float:
-    """(1-d)^q sum_{i<=j} (q)_i d^i / i! = I_{1-d}(q, j+1) (DLMF 8.17)."""
-    if not 0.0 <= d < 1.0:
+def _nb_head(q: float, j: int, c: float) -> float:
+    """(1-d)^q sum_{i<=j} (q)_i d^i / i! = I_{1-d}(q, j+1) (DLMF 8.17), c = 1-d."""
+    if not 0.0 < c <= 1.0:
         raise DegenerateSpectrumError("decay base must lie in [0, 1)")
-    return float(betainc(q, j + 1.0, 1.0 - d))
+    return float(betainc(q, j + 1.0, c))
 
 
-def _theorem_sum(m: int, q: float, d: float, k_min: int = 0) -> float:
-    """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)), which
-    with j = m - k is m B(m, q) times the head j <= m - k_min of the negative
-    binomial series sum_j (q)_j d^j / j! = (1-d)^-q."""
-    return _m_beta(m, q) * (1.0 - d) ** -q * _nb_head(q, m - k_min, d)
+def _theorem_sum(m: int, q: float, c: float, k_min: int = 0) -> float:
+    """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)) with
+    d = 1 - c, which with j = m - k is m B(m, q) times the head j <= m - k_min
+    of the negative binomial series sum_j (q)_j d^j / j! = c^-q.  The caller
+    passes c, not d: near d = 1 only c keeps its digits."""
+    return _m_beta(m, q) * c ** -q * _nb_head(q, m - k_min, c)
 
 
 def quantization_factors(lam, bits: int) -> QuantizationFactors:
@@ -139,10 +141,10 @@ def quantization_factors(lam, bits: int) -> QuantizationFactors:
     n = lam.size
     m = _check_bits(bits, MAX_CLOSED_FORM_BITS)
     _require_gap12(lam)
-    d = 1.0 - float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
+    c = float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
     q = 1.0 / (n - 1)
-    return QuantizationFactors(m=m, a_n=q / (m + q), p=2.0 * q - 1.0, d=d,
-                               kappa=math.gamma(q))
+    return QuantizationFactors(m=m, a_n=q / (m + q), p=2.0 * q - 1.0, d=1.0 - c,
+                               c=c, kappa=math.gamma(q))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,11 @@ def delta1_exact(lam, bits: int) -> LossEstimate:
         return LossEstimate((1.0 - lam[1]) / (m + 1.0), "exact")
     if n == 3:
         _require_all_gaps(lam)
-        r = (lam[1] - lam[2]) / (lam[0] - lam[2])
-        s = _theorem_sum(m, 0.5, r, k_min=1)
+        # 1 - r as a quotient: 1 - r formed from r = (l2-l3)/(l1-l3) rounds,
+        # and the theorem sum amplifies that about 350-fold near r = 1
+        c = (lam[0] - lam[1]) / (lam[0] - lam[2])
+        r = 1.0 - c
+        s = _theorem_sum(m, 0.5, c, k_min=1)
         value = ((1.0 - lam[2]) * r ** m + (1.0 - lam[1]) * s) / (2.0 * m + 1.0)
         return LossEstimate(value, "exact")
     raise UnsupportedModelError("closed form available for 2 or 3 antennas only")
@@ -174,8 +179,8 @@ def delta1_appx(lam, bits: int) -> LossEstimate:
     """
     lam = _normalized(lam)
     qf = quantization_factors(lam, bits)
-    c = _theorem_sum(qf.m, 1.0 / (lam.size - 1), qf.d)
-    return LossEstimate(qf.a_n * (1.0 - lam[1]) * c, "approx")
+    s = _theorem_sum(qf.m, 1.0 / (lam.size - 1), qf.c)
+    return LossEstimate(qf.a_n * (1.0 - lam[1]) * s, "approx")
 
 
 def _deficit_integrand(lam, bits: int):
@@ -362,7 +367,7 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     if rho <= 0:
         raise ValueError("rho must be positive")
     qf = quantization_factors(lam, bits)
-    m, d = qf.m, qf.d
+    m = qf.m
     a = float(np.exp(np.mean(np.log(lam[0] - lam[1:]))))
     gamma = rho * a / (1.0 + rho * lam[0])
     pref = rho * a / (_LN2 * (n - 1.0) * (1.0 + rho * lam[0]))
@@ -370,7 +375,7 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     for i in range(MAX_OUTER_TERMS):
         q_i = (i + 1.0) / (n - 1.0)
         # (1-d)^q_i times the theorem sum, whose factors overflow apart
-        term = gamma ** i / (m + q_i) * _m_beta(m, q_i) * _nb_head(q_i, m, d)
+        term = gamma ** i / (m + q_i) * _m_beta(m, q_i) * _nb_head(q_i, m, qf.c)
         total += term
         if term < 1e-12 * total:
             return LossEstimate(pref * total, "approx")
@@ -404,7 +409,7 @@ def delta2_asympt(lam, rho: float, bits: int, method: str = "prop3") -> LossEsti
         raise ValueError("rho must be positive")
     m = _check_bits(bits)
     _require_gap12(lam)
-    d = 1.0 - float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
+    c = float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))  # 1 - d
     kappa = math.gamma(1.0 / (n - 1))
     if method == "prop3":
         if n == 2:
@@ -419,12 +424,12 @@ def delta2_asympt(lam, rho: float, bits: int, method: str = "prop3") -> LossEsti
                                 "asymptotic")
         value = (2.0 ** (-bits / (n - 1.0)) / (_LN2 * (n - 1.0))
                  * rho * (lam[0] - lam[1]) / (1.0 + rho * lam[0])
-                 * (kappa + d / (1.0 - d)))
+                 * (kappa + (1.0 - c) / c))
         return LossEstimate(value, "asymptotic")
     if method == "corollary3":
         value = (2.0 ** (-bits / (n - 1.0)) * kappa / (_LN2 * (n - 1.0))
                  * rho * (lam[0] - lam[1]) / (1.0 + rho * lam[1])
-                 * (1.0 + d / ((1.0 - d) * (n - 1.0))))
+                 * (1.0 + (1.0 - c) / (c * (n - 1.0))))
         return LossEstimate(value, "asymptotic")
     raise ValueError(f"unknown method {method!r}")
 

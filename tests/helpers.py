@@ -53,15 +53,14 @@ def selected_gains(books, gram):
     return np.einsum("cki,ij,ckj->ck", books.conj(), gram, books).real.max(axis=1)
 
 
-def einsum_best_quotients(pairs, bits, n_codebooks, stream, block=1 << 16):
-    """The Monte Carlo kernel as complex einsums, the reference for its bytes.
+def einsum_best_quotients(pairs, bits, n_codebooks, stream):
+    """The Monte Carlo kernel as complex einsums, an independent reference.
 
     Same chunks, streams and codeword slices as ``codebook.best_quotients``;
     each quadratic form is ``einsum("cki,ij,ckj->ck", conj(f), M, f).real``
     and the plain norm ``einsum("cki,cki->ck", conj(f), f).real``.
     """
-    m = 1 << bits
-    n = pairs[0][0].shape[0]
+    m, n, block = 1 << bits, pairs[0][0].shape[0], 1 << 16
     per_chunk = max(1, block // (m * n))
     step = max(1, block // n)
     plain = any(nn is None for _, nn in pairs)

@@ -348,24 +348,27 @@ _TINY = {
 
 
 # sha256 of each _TINY CSV at seed 3.  The Monte Carlo and stderr columns
-# are the bytes the complex-einsum kernel wrote; the closed-form columns of
-# fig2, fig5a and fig5b (and of the sliced fig2 pin below) are those of the
-# incomplete-beta theorem sum and the Gauss-Laguerre rate loss, with the
-# rate-loss approximant summing (1-d)^q times the theorem sum.  Recorded with
-# numpy 2.4 and scipy 1.17 on x86-64: another libm may round differently.
+# are the bytes of the GEMM kernel: one real matrix product per slice on the
+# embeddings [[Re M, -Im M], [Im M, Re M]], so they also depend on the BLAS
+# GEMM kernel.  The closed-form columns of fig2, fig5a and fig5b (and of the
+# sliced fig2 pin below) are those of the incomplete-beta theorem sum and the
+# Gauss-Laguerre rate loss, with 1 - d carried as the product
+# prod_j (l1-l2)/(l1-lj).  Recorded with numpy 2.4, scipy 1.17 and OpenBLAS
+# 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may round
+# differently.
 _TINY_SHA256 = {
     "fig1": "4d7620e79aa8063c9327614f4dd38c43eb2470dfca2b8693eb20e26d3bf3d56d",
-    "fig2": "9d000882cdd94f28c8197e1922556100fde6da47bd8f2c669de162357b1d0beb",
+    "fig2": "2766df73ff16f24fbf7b03b00b44b2ed8a1199ca5fc74f30ec59b8ca007b8164",
     "fig3": "a0ae53757cb7a4071f865b1d914eee424d9ec43935f223b1a14be86e9aa7e81c",
-    "fig4a": "092929a840fa1044e35b105c55b2b6408d25f881314469bb561047ed64d57901",
-    "fig4b": "f09f9586b418757e6a929c019136e683741c0cc3501d0488004b4c45293404ff",
-    "fig5a": "6cc722bb5e784586a9d4a0fa860715a455c74e957bb39af2629ba42c6cda69a4",
-    "fig5b": "3efd30430ea77c3d673f4f12cdd758c9e4e44f0f13ca73201046f33871fe63dd",
-    "fig6a": "a9bec67bb5037ec34aadfc6129a5c4758e06be6c8788ae55e4fb9d224bb96eb9",
-    "fig6b": "104045cc2dc64d0db29e7af285d380333cc9c412a154c93415ad70f6158535dc",
-    "fig6c": "6bfce21f4701d9ed9fcbf6170aae372a925ebac31e29c48d4f9c6f9965bcec05",
-    "fig6d": "53cbc17a0d6f0b7cc7c33f526150ee19ebc447f3447f2c8b99a4dfe1c4c84141",
-    "custom": "87419fc1be01b529848b89ab6fa2af14d8db9349b39a6a64c1e14e5321940b02",
+    "fig4a": "ce5a48bbaed28ae13704bb35ca244f82cf0af9099e8d8617cf88cde7a9036222",
+    "fig4b": "6a892bf41951daa82258470243866c4c7fa4ef0eb50811d6804a93ecdf115043",
+    "fig5a": "173976cc4df9c22fcb0d365195b6566058f2104fd59aa99f86d075663b080256",
+    "fig5b": "d2aad4a3c78ddadd3e03e35fb569827b3a32195d8c781c3abbb5a1c3dc4c7f32",
+    "fig6a": "56ae9e8edd38f5302a1a1a1c9952a82eb04503bd2d30078818b062b9c2767e37",
+    "fig6b": "a0b8c599e36df594f2c3d1f8779255603f275a9f505d8d1c84c847e1d18fd0a0",
+    "fig6c": "509997e5cf198f4d3607fc785f13655454be178f784ba9e7c4c5f80401c764ae",
+    "fig6d": "3066e454fbe50f217e9e1a421a73872ce80d8cd2c71c59db47b9b635819774fc",
+    "custom": "5d9004721532507e32977c5f48ff5b0c9a9e389f65985673e2deaef8da2b7784",
 }
 
 
@@ -393,4 +396,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "09db450bf6cd5a89c44175af59f50702674e417fe38e5c48b5c41a2ea83cb157")
+        "6da761478a417575214ac49bc74e7c2d36249192b190bab444aff0bf6432891b")

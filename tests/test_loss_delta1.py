@@ -183,8 +183,10 @@ def test_theorem_sum_matches_mpmath():
                                  for j in range(m - k_min + 1))
                 direct *= mp.gamma(m + 1) / mp.gamma(m + q)
                 assert abs(direct - w) <= mp.mpf(10) ** -30 * w
+        # the kernel takes c = 1 - d, which is exact for every d of the grid
         assert worst_relative_error("_theorem_sum", [
-            (_theorem_sum(*args), w) for args, w in want.items()]) <= 1e-13
+            (_theorem_sum(m, q, 1.0 - d, k_min), w)
+            for (m, q, d, k_min), w in want.items()]) <= 1e-13
 
 
 def test_m_beta_matches_mpmath_at_large_q():
@@ -212,6 +214,26 @@ def test_exact_three_antennas_matches_mpmath():
     assert worst_relative_error("delta1_exact", [
         (delta1_exact(lam, bits).value, mpmath_loss(lam, bits))
         for lam in spectra for bits in range(0, 21)]) <= 1e-13
+
+
+def test_exact_three_antennas_near_r_one():
+    # r = 1 - (l1-l2)/(l1-l3) keeps the digits that (l2-l3)/(l1-l3) loses
+    # near r = 1, where the theorem sum amplifies them about 350-fold
+    lam = [1.0, 0.999, 0.3]
+    assert worst_relative_error("delta1_exact", [
+        (delta1_exact(lam, bits).value, mpmath_loss(lam, bits))
+        for bits in range(12, 21)]) <= 1e-14
+
+
+def test_decay_base_that_rounds_to_one():
+    # 1 - d = prod_j (l1-l2)/(l1-lj) is about 2.5e-18 here, so d rounds to 1
+    lam = [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5, 0.2]
+    qf = quantization_factors(lam, 4)
+    assert qf.d == 1.0 and 0.0 < qf.c < 1e-17
+    assert worst_relative_error("delta1_appx", [
+        (delta1_appx(lam, bits).value, _appx_reference(lam, bits))
+        for bits in range(0, 21)]) <= 1e-13
+    assert all(math.isfinite(epsilon_b(lam, bits)) for bits in range(0, 21))
 
 
 def _appx_reference(lam, bits):

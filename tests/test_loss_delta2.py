@@ -159,6 +159,17 @@ def test_method2_cross_check():
         assert a == pytest.approx(_method2(lam, rho, bits), rel=1e-12)
 
 
+def test_appx_with_a_decay_base_that_rounds_to_one():
+    # 1 - d is about 2.5e-18: carried as the product, not as 1 - d
+    lam = [1.0, 1.0 - 1.01e-9, 0.5, 0.2]
+    for bits in range(0, 5):
+        a = delta2_appx(lam, 10.0, bits).value
+        assert a == pytest.approx(_method2(lam, 10.0, bits), rel=1e-13)
+    prop3, cor3 = (delta2_asympt(lam, 10.0, 4, method=m).value
+                   for m in ("prop3", "corollary3"))
+    assert math.isfinite(prop3) and math.isfinite(cor3)
+
+
 def test_appx_slowly_converging_outer_series():
     # gamma = 0.98: the outer orders reach q = 172 and beyond, past the
     # overflow of Gamma(q).  The series stops at its first term below 1e-12

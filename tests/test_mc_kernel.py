@@ -9,6 +9,7 @@ from helpers import (complex_gaussian, diag_channel, einsum_best_quotients,
                      random_channel, random_full_rank, rvq_codebooks,
                      selected_gains)
 from rvqlab.channel import KroneckerModel
+from rvqlab import codebook
 from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
 from rvqlab.loss import (avg_delta_snr, channel_averaged_losses, delta1_exact,
@@ -39,27 +40,30 @@ class _RecordingGenerator:
         return self.gen.standard_normal(shape)
 
 
-def _quotient_pairs():
-    rng = RngStream(5).derive("pairs").generator()
-    h = complex_gaussian(rng, (2, 2))
-    a = random_full_rank(rng, 2)
+def _quotient_pairs(n):
+    rng = RngStream(5).derive(f"pairs{n}").generator()
+    h = complex_gaussian(rng, (2, n))
+    a = random_full_rank(rng, n)
     gram = h.conj().T @ h
     return [(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)]
 
 
-def test_sliced_codebooks_equal_one_unsliced_draw():
+def test_sliced_codebooks_equal_one_unsliced_draw(monkeypatch):
     bits, n_codebooks = 17, 2
-    pairs = _quotient_pairs()
-    stream = RngStream(9).derive("sliced")
-    shapes = []
-    got = best_quotients(pairs, bits, n_codebooks,
-                         _RecordingStream(stream, shapes))
-    # each codebook is larger than the block, so it is drawn in slices
-    assert len(shapes) > n_codebooks
-    assert all(s[1] < 1 << bits for s in shapes)
-    # a block of 2 * 2**17 doubles holds one whole codebook per chunk
-    want = einsum_best_quotients(pairs, bits, n_codebooks, stream, block=1 << 18)
-    np.testing.assert_array_equal(got, want)
+    for n in (2, 3, 4):
+        pairs = _quotient_pairs(n)
+        stream = RngStream(9).derive(f"sliced{n}")
+        shapes = []
+        got = best_quotients(pairs, bits, n_codebooks,
+                             _RecordingStream(stream, shapes))
+        # each codebook is larger than the block, so it is drawn in slices
+        assert len(shapes) > n_codebooks
+        assert all(s[1] < 1 << bits for s in shapes)
+        # a block of n * 2**bits doubles holds one whole codebook per chunk
+        with monkeypatch.context() as patch:
+            patch.setattr(codebook, "_MC_BLOCK", n << bits)
+            np.testing.assert_array_equal(
+                got, best_quotients(pairs, bits, n_codebooks, stream))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -104,9 +108,10 @@ def test_kernel_equals_complex_einsum_bit_for_bit(n):
             if n > 4 and n_codebooks * n << bits > 1 << 12:
                 continue
             stream = RngStream(31).derive(f"exact{n}/{k}/{bits}")
-            np.testing.assert_array_equal(
+            np.testing.assert_allclose(
                 best_quotients(pairs, bits, n_codebooks, stream),
-                einsum_best_quotients(pairs, bits, n_codebooks, stream))
+                einsum_best_quotients(pairs, bits, n_codebooks, stream),
+                rtol=1e-13)
 
 
 def test_sliced_kernel_equals_complex_einsum_bit_for_bit():
@@ -114,8 +119,9 @@ def test_sliced_kernel_equals_complex_einsum_bit_for_bit():
     for k in (1, 8):
         pairs = _mixed_pairs(4, k, 37)
         stream = RngStream(37).derive(f"sliced{k}")
-        np.testing.assert_array_equal(best_quotients(pairs, 15, 2, stream),
-                                      einsum_best_quotients(pairs, 15, 2, stream))
+        np.testing.assert_allclose(best_quotients(pairs, 15, 2, stream),
+                                   einsum_best_quotients(pairs, 15, 2, stream),
+                                   rtol=1e-13)
 
 
 def test_estimates_carry_their_sample_count():
@@ -157,6 +163,23 @@ def test_sampled_loss_memory_is_bounded():
     try:
         delta1_mc(diag_channel([4.0, 3.0, 2.0, 1.0]), 20, 2,
                   RngStream(3).derive("memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_stacked_kernel_memory_is_bounded():
+    # fig6c's shape: plain RVQ and 20 skews on one Gram, 41 matrices, at
+    # n = 4 and bits 12, so each slice holds 16384 codewords
+    rng = RngStream(43).derive("stack").generator()
+    gram = random_channel(rng, 2, 4).gram
+    skews = [complex_gaussian(rng, (4, 4)) for _ in range(20)]
+    pairs = [(gram, None)] + [(a.conj().T @ gram @ a, a.conj().T @ a)
+                              for a in skews]
+    tracemalloc.start()
+    try:
+        best_quotients(pairs, 12, 4, RngStream(43).derive("stack memory"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
