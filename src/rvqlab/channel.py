@@ -123,12 +123,11 @@ class ChannelRealization:
         return self.h.shape[1]
 
 
-def sample_channel(model: ChannelModel, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization from the model."""
+def _sample_matrix(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw one channel matrix H from the model."""
     if isinstance(model, IIDModel):
         g = rng.standard_normal((model.n_r, model.n_t, 2))
-        h = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
-        return ChannelRealization(h)
+        return (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
     if isinstance(model, KroneckerModel):
         g = rng.standard_normal((model.n_r, model.n_t, 2))
         h = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
@@ -137,18 +136,31 @@ def sample_channel(model: ChannelModel, rng: np.random.Generator) -> ChannelReal
             h = model.u_r @ h
         if model.u_t is not None:
             h = h @ model.u_t.conj().T
-        return ChannelRealization(h)
+        return h
     if isinstance(model, FixedSpectrumModel):
         n_t, n_r = model.n_t, model.n_r
         root = np.sqrt(model.lam)
         if model.frozen:
             h = np.zeros((n_r, n_t), dtype=complex)
             h[:n_t, :] = np.diag(root)
-            return ChannelRealization(h)
+            return h
         v = sample_unitary(n_r, rng)[:, :n_t]
         w = sample_unitary(n_t, rng)
-        return ChannelRealization(v @ np.diag(root) @ w.conj().T)
+        return v @ np.diag(root) @ w.conj().T
     raise UnsupportedModelError(f"unknown channel model {type(model)!r}")
+
+
+def sample_channel(model: ChannelModel, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one realization from the model."""
+    return ChannelRealization(_sample_matrix(model, rng))
+
+
+def sample_grams(model: ChannelModel, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_channel``'s Grams H'H of one draw per generator, stacked, and
+    their top eigenvalues from one stacked eigenvalue solve."""
+    h = np.array([_sample_matrix(model, rng) for rng in rngs], dtype=complex)
+    grams = h.conj().swapaxes(1, 2) @ h
+    return grams, hermitian_eig(grams, vectors=False).values[:, 0]
 
 
 def mean_energy(model: ChannelModel) -> float:

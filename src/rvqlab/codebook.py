@@ -62,6 +62,7 @@ def best_quotients(pairs, bits: int, n_codebooks: int,
                 y = (emb[2 * n * lo_k:2 * n * hi] @ x).reshape(hi - lo_k, 2 * n, -1)
                 np.multiply(y, x, out=y).sum(axis=1, out=forms[lo_k:hi])
             np.multiply(x, x, out=x).sum(axis=0, out=forms[-1])
-            quotients = forms[:n_pairs] / forms[den_rows]
-            np.maximum(out, quotients.reshape(n_pairs, take, -1).max(axis=2), out=out)
+            for k, d in enumerate(den_rows):  # in place: every d >= n_pairs
+                forms[k] /= forms[d]
+            np.maximum(out, forms[:n_pairs].reshape(n_pairs, take, -1).max(axis=2), out=out)
     return best

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 from scipy.special import betainc
 
-from .channel import ChannelRealization, ChannelModel, sample_channel
+from .channel import ChannelRealization, ChannelModel, sample_grams
 from .codebook import best_quotients
 from .errors import (DegenerateSpectrumError, ResourceLimitError,
                      UnsupportedModelError)
@@ -34,6 +34,8 @@ from .wnorm import GAP_RTOL, WeightedNormLaw, pdf
 MAX_CLOSED_FORM_BITS = 20
 MAX_OUTER_TERMS = 10 ** 4
 _LN2 = math.log(2.0)
+# complex entries one block of channels may stack: every H, G and A'GA
+_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -452,21 +454,24 @@ def _check_sampling(bits: int, rho, n_draws: int, what: str):
         raise ValueError(f"need at least 2 {what} for a standard error")
 
 
-def _loss_samples(channel: ChannelRealization, skews, bits: int,
-                  n_codebooks: int, stream: RngStream, rho) -> np.ndarray:
-    """(len(skews), n_codebooks) losses of fresh codebooks on shared codewords."""
-    top = float(channel.spectrum[0])
-    if top <= 0:
-        raise ValueError("zero channel")
-    gram = channel.gram
-    if any(a is not None and a.shape != gram.shape for a in skews):
+def _loss_samples(grams: np.ndarray, tops: np.ndarray, skews, bits: int,
+                  n_codebooks: int, streams, rho):
+    """Yield, per Gram of a stack, the (len(skews), n_codebooks) losses of
+    fresh codebooks on shared codewords from that Gram's stream; each skew's
+    A'A is formed once, and its A'GA in one stacked product over the Grams."""
+    if any(a is not None and a.shape != grams.shape[1:] for a in skews):
         raise ValueError("skew and channel dimensions disagree")
-    best = best_quotients([(gram, None) if a is None
-                           else (a.conj().T @ gram @ a, a.conj().T @ a)
-                           for a in skews], bits, n_codebooks, stream)
-    if rho is None:
-        return (top - best) / top
-    return math.log2(1.0 + rho * top) - np.log2(1.0 + rho * best)
+    if (tops <= 0).any():
+        raise ValueError("zero channel")
+    k = len(grams)
+    per_skew = [zip(grams, [None] * k) if a is None else
+                zip(a.conj().T @ grams @ a, [a.conj().T @ a] * k) for a in skews]
+    for pairs, top, stream in zip(zip(*per_skew), tops, streams):
+        best = best_quotients(pairs, bits, n_codebooks, stream)
+        if rho is None:
+            yield (top - best) / top
+        else:
+            yield math.log2(1.0 + rho * top) - np.log2(1.0 + rho * best)
 
 
 def sampled_losses(channel: ChannelRealization, skews, bits: int,
@@ -480,8 +485,9 @@ def sampled_losses(channel: ChannelRealization, skews, bits: int,
     in bits at that power.
     """
     _check_sampling(bits, rho, n_codebooks, "codebooks")
-    return [LossEstimate.from_samples(s) for s in
-            _loss_samples(channel, skews, bits, n_codebooks, stream, rho)]
+    samples, = _loss_samples(channel.gram[None], channel.spectrum[:1], skews,
+                             bits, n_codebooks, [stream], rho)
+    return [LossEstimate.from_samples(s) for s in samples]
 
 
 def channel_averaged_losses(model: ChannelModel, skews, bits: int,
@@ -491,16 +497,20 @@ def channel_averaged_losses(model: ChannelModel, skews, bits: int,
 
     Channel i draws from stream.derive(i): its "channel" child gives the
     channel and its "codebooks" child the codewords every codebook shares.
-    The standard error is taken over the per-channel means.
+    The standard error is taken over the per-channel means.  Channels are
+    drawn and stacked in blocks of bounded size, which changes no value.
     """
     _check_sampling(bits, rho, n_channels, "channel draws")
-    means = np.empty((len(skews), n_channels))
-    for i in range(n_channels):
-        sub = stream.derive(i)
-        ch = sample_channel(model, sub.derive("channel").generator())
-        means[:, i] = [s.mean() for s in _loss_samples(
-            ch, skews, bits, n_codebooks, sub.derive("codebooks"), rho)]
-    return [LossEstimate.from_samples(row) for row in means]
+    n = model.n_t
+    block = max(1, _STACK_ENTRIES // (n * (model.n_r + n * (len(skews) + 1))))
+    means = []
+    for lo in range(0, n_channels, block):
+        subs = [stream.derive(i) for i in range(lo, min(lo + block, n_channels))]
+        grams, tops = sample_grams(model, (s.derive("channel").generator() for s in subs))
+        means += [[s.mean() for s in samples] for samples in _loss_samples(
+            grams, tops, skews, bits, n_codebooks,
+            (s.derive("codebooks") for s in subs), rho)]
+    return [LossEstimate.from_samples(row) for row in np.array(means).T]
 
 
 def avg_delta_snr(model: ChannelModel, bits: int, n_channels: int,

@@ -57,9 +57,9 @@ class RngStream:
         return RngStream(self.master_seed, child)
 
     def generator(self) -> np.random.Generator:
-        """Fresh counter-based generator positioned at the stream start."""
+        """Fresh SFC64 generator keyed by SeedSequence spawn key stream_id."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def sample_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

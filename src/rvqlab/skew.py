@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, ChannelRealization, sample_channel, transmit_covariance
+from .channel import ChannelModel, ChannelRealization, sample_grams, transmit_covariance
 from .errors import (DegenerateSpectrumError, SingularCovarianceError,
                      SingularSkewError, UnsupportedModelError)
 from .linalg import hermitian_eig
@@ -368,14 +368,9 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
         raise ValueError("budget must be at least 1")
     if n_channels < 1:
         raise ValueError("need at least one channel draw")
-    gen = stream.derive("channels").generator()
-    grams = []
-    tops = []
-    for _ in range(n_channels):
-        ch = sample_channel(model, gen)
-        grams.append(ch.gram)
-        tops.append(ch.spectrum[0])
-    dim = grams[0].shape[0]
+    # the design channels are drawn in turn from one generator
+    grams, tops = sample_grams(model, [stream.derive("channels").generator()] * n_channels)
+    dim = grams.shape[1]
     mean_gram = sum(grams) / len(grams)
     objective_of = _skew_objective(grams, tops, alpha)
     eig_mean = hermitian_eig(mean_gram)
@@ -394,18 +389,18 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     best = None
     evals = 0
     for ridx, base in enumerate(bases):
-        used = [0]
+        values = []
 
-        def fun(p, base=base, used=used):
-            used[0] += 1
-            return objective_of(_candidate(dim, base, p))
+        def fun(p, base=base, values=values):
+            values.append(objective_of(_candidate(dim, base, p)))
+            return values[-1]
 
         res = minimize(fun, np.zeros(k), method="Nelder-Mead",
                        options={"maxfev": per_restart, "xatol": 1e-6,
                                 "fatol": 1e-10, "disp": False})
-        start = (objective_of(_candidate(dim, base, np.zeros(k))), ridx,
-                 np.zeros(k))
-        evals += used[0] + 1
+        # Nelder-Mead evaluates its start x0 = zeros first
+        start = (values[0], ridx, np.zeros(k))
+        evals += len(values)
         cand = (float(res.fun), ridx, np.array(res.x))
         for c in (start, cand):
             if best is None or c[0] < best[0] or (c[0] == best[0] and c[1] < best[1]):

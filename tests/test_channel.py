@@ -7,7 +7,7 @@ from scipy.stats import kstest
 from helpers import complex_gaussian
 from rvqlab.channel import (ChannelRealization, FixedSpectrumModel, IIDModel,
                             KroneckerModel, mean_energy, normalize_power,
-                            sample_channel, transmit_covariance)
+                            sample_channel, sample_grams, transmit_covariance)
 from rvqlab.errors import UnsupportedModelError
 from rvqlab.rng import RngStream, sample_unitary
 
@@ -24,6 +24,24 @@ def test_realization_invariants():
     quotient = (ch.u_dominant.conj() @ ch.gram @ ch.u_dominant).real
     assert quotient == pytest.approx(ch.spectrum[0], rel=1e-9)
     assert np.linalg.norm(ch.u_dominant) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stacked_grams_match_sample_channel():
+    lt, lr = np.array([1.6, 1.2, 0.8, 0.4]), np.array([1.5, 1.0, 0.5])
+    u_t, u_r = sample_unitary(4, _gen("u_t")), sample_unitary(3, _gen("u_r"))
+    models = [IIDModel(4, 2), KroneckerModel(lt, lr),
+              KroneckerModel(lt, lr, u_t=u_t), KroneckerModel(lt, lr, u_r=u_r),
+              KroneckerModel(lt, lr, u_t=u_t, u_r=u_r),
+              FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], n_r=5),
+              FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], frozen=True)]
+    for model in models:
+        keys = [f"stack{i}" for i in range(6)]
+        grams, tops = sample_grams(model, (_gen(k) for k in keys))
+        assert grams.shape == (len(keys), 4, 4) and tops.shape == (len(keys),)
+        for key, gram, top in zip(keys, grams, tops):
+            ch = sample_channel(model, _gen(key))
+            assert np.abs(gram - ch.gram).max() <= 1e-13 * np.abs(ch.gram).max()
+            assert top == pytest.approx(ch.spectrum[0], rel=1e-13)
 
 
 def test_fixed_spectrum_recovery():

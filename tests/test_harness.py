@@ -347,8 +347,10 @@ _TINY = {
 }
 
 
-# sha256 of each _TINY CSV at seed 3.  The Monte Carlo and stderr columns
-# are the bytes of the GEMM kernel: one real matrix product per slice on the
+# sha256 of each _TINY CSV at seed 3.  The sampled columns are draws of the
+# SFC64 streams, with each channel-averaged task's channels drawn first and
+# their Grams' top eigenvalues taken in one stacked solve.  Their bytes are
+# those of the GEMM kernel: one real matrix product per slice on the
 # embeddings [[Re M, -Im M], [Im M, Re M]], so they also depend on the BLAS
 # GEMM kernel.  The closed-form columns of fig2, fig5a and fig5b (and of the
 # sliced fig2 pin below) are those of the incomplete-beta theorem sum and the
@@ -357,18 +359,18 @@ _TINY = {
 # 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may round
 # differently.
 _TINY_SHA256 = {
-    "fig1": "4d7620e79aa8063c9327614f4dd38c43eb2470dfca2b8693eb20e26d3bf3d56d",
-    "fig2": "2766df73ff16f24fbf7b03b00b44b2ed8a1199ca5fc74f30ec59b8ca007b8164",
+    "fig1": "af9e46d6ace6e80dfedfd1d69974da15d5dba75d5aa5ec0f764c23c14424f8ff",
+    "fig2": "a698355b3bbb53e6455812283ef3952ecba9a5746e9b778a3c71471e7eaffc17",
     "fig3": "a0ae53757cb7a4071f865b1d914eee424d9ec43935f223b1a14be86e9aa7e81c",
-    "fig4a": "ce5a48bbaed28ae13704bb35ca244f82cf0af9099e8d8617cf88cde7a9036222",
-    "fig4b": "6a892bf41951daa82258470243866c4c7fa4ef0eb50811d6804a93ecdf115043",
-    "fig5a": "173976cc4df9c22fcb0d365195b6566058f2104fd59aa99f86d075663b080256",
-    "fig5b": "d2aad4a3c78ddadd3e03e35fb569827b3a32195d8c781c3abbb5a1c3dc4c7f32",
-    "fig6a": "56ae9e8edd38f5302a1a1a1c9952a82eb04503bd2d30078818b062b9c2767e37",
-    "fig6b": "a0b8c599e36df594f2c3d1f8779255603f275a9f505d8d1c84c847e1d18fd0a0",
-    "fig6c": "509997e5cf198f4d3607fc785f13655454be178f784ba9e7c4c5f80401c764ae",
-    "fig6d": "3066e454fbe50f217e9e1a421a73872ce80d8cd2c71c59db47b9b635819774fc",
-    "custom": "5d9004721532507e32977c5f48ff5b0c9a9e389f65985673e2deaef8da2b7784",
+    "fig4a": "800b8f09772c4484923111cda2a334089bfa43fa431dd0635d9ab7fb9ed7f930",
+    "fig4b": "1999018fca5dd36bcb91c1e2f832506c28dcf4f83c09631e11f0086f7a12e10b",
+    "fig5a": "fc66c4480a49667ebaab9a1d334439efc8ed69cd684ddd5140e4a6c93a990d57",
+    "fig5b": "89b566b8bd50ef1e7939f9f16e16756c90a2f329d9b94e87667bea9ab76117b9",
+    "fig6a": "8836e329823f913c3ae4da4d644e4c7c5f28fa286842e442828744895c06fe80",
+    "fig6b": "ad0a4f3a916aa747554a063c2bf0df0873e6a2aa7e79cc93d8ac5e62ece9b9f5",
+    "fig6c": "5b5fc5ec29bb645dd88663cf15e6875bbc7e0fdc4c2d6c70f1f22d9818fb4b30",
+    "fig6d": "34a746a8423a4a871d325f01b3e45a70aea880d40b14a8acd9fdb71f2f1b387f",
+    "custom": "0a99d94b03ce2e98a7645206043db06943d9eb12764d0561277bde03a14895da",
 }
 
 
@@ -396,4 +398,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "6da761478a417575214ac49bc74e7c2d36249192b190bab444aff0bf6432891b")
+        "03bf73948de29a6f66d4a441c0ba94334031d689c883ebf3e583cb70cdca2019")

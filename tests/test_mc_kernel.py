@@ -10,6 +10,7 @@ from helpers import (complex_gaussian, diag_channel, einsum_best_quotients,
                      selected_gains)
 from rvqlab.channel import KroneckerModel
 from rvqlab import codebook
+from rvqlab import loss as loss_module
 from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
 from rvqlab.loss import (avg_delta_snr, channel_averaged_losses, delta1_exact,
@@ -158,6 +159,21 @@ def test_callers_agree_on_shared_draws():
     np.testing.assert_array_equal(rows[0][1:], [est.value, est.stderr])
 
 
+def test_channel_blocks_keep_every_value(monkeypatch):
+    stream = RngStream(17).derive("blocks")
+    a = random_full_rank(stream.derive("skew").generator(), 4)
+    model = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
+                           lambda_r=np.array([1.5, 1.0, 0.5]))
+    for rho in (None, 3.0):
+        want = channel_averaged_losses(model, [None, a], 3, 7, 20, stream, rho)
+        with monkeypatch.context() as patch:
+            # one channel per block, then blocks of 3, 3 and 1 channels
+            for entries in (1, 3 * 4 * (3 + 4 * 3)):
+                patch.setattr(loss_module, "_STACK_ENTRIES", entries)
+                got = channel_averaged_losses(model, [None, a], 3, 7, 20, stream, rho)
+                np.testing.assert_array_equal(_pairs_of(got), _pairs_of(want))
+
+
 def test_sampled_loss_memory_is_bounded():
     tracemalloc.start()
     try:
@@ -183,4 +199,6 @@ def test_stacked_kernel_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    # the quotients are divided in place: a copy of the 21 denominator rows
+    # of a slice would add about 4 MB
+    assert peak < 10 * 2 ** 20

@@ -40,6 +40,12 @@ def test_generator_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_streams_are_sfc64():
+    # every sampled column is drawn from these streams: another bit
+    # generator re-draws them all
+    assert isinstance(RngStream(7, 9).generator().bit_generator, np.random.SFC64)
+
+
 def test_stream_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
