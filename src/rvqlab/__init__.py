@@ -8,7 +8,7 @@ from .channel import (ChannelRealization, FixedSpectrumModel, IIDModel,
                       transmit_covariance)
 from .errors import (DegenerateSpectrumError, ResourceLimitError, RvqlabError,
                      SingularCovarianceError, SingularSkewError,
-                     UnsupportedModelError, UnsupportedRegionError)
+                     UnsupportedModelError)
 from .loss import (LossEstimate, avg_delta_mi, avg_delta_snr, delta1_appx,
                    delta1_asympt, delta1_exact, delta1_mc, delta1_miso,
                    delta1_quadrature, delta2_appx, delta2_asympt,

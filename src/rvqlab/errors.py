@@ -9,10 +9,6 @@ class DegenerateSpectrumError(RvqlabError):
     """Eigenvalue gap too small for a closed form; use sampling or quadrature."""
 
 
-class UnsupportedRegionError(RvqlabError):
-    """Requested evaluation point lies where no closed form is available."""
-
-
 class UnsupportedModelError(RvqlabError):
     """Operation does not apply to this channel model or dimension."""
 

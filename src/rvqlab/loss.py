@@ -29,10 +29,10 @@ from .errors import (DegenerateSpectrumError, ResourceLimitError,
 from .linalg import check_spectrum
 from .quadrature import integrate_piecewise
 from .rng import RngStream
-from .wnorm import GAP_RTOL, WeightedNormLaw, pdf
+from .wnorm import WeightedNormLaw, cdf
 
 MAX_CLOSED_FORM_BITS = 20
-MAX_OUTER_TERMS = 10 ** 4
+GAP_RTOL = 1e-9
 _LN2 = math.log(2.0)
 # complex entries one block of channels may stack: every H, G and A'GA
 _STACK_ENTRIES = 1 << 20
@@ -98,43 +98,31 @@ def _require_all_gaps(lam):
 
 
 def _m_beta(m: int, q: float) -> float:
-    """m B(m, q) = Gamma(q) Gamma(m+1)/Gamma(m+q) = m!/(q)_m for q > 0.
+    """m B(m, q) = Gamma(q) Gamma(m+1)/Gamma(m+q) for 0 < q <= 32.
 
-    Exact gammas up to 32, the product m!/(q)_m for m < 32, and otherwise
-    Stirling's series with each large logarithm taken of a ratio: a difference
-    of ln Gamma loses m ln m ulps, and Gamma(q) overflows past q = 171.
+    Exact gammas for m < 32, and otherwise Stirling's series with each large
+    logarithm taken of a ratio: a difference of ln Gamma loses m ln m ulps.
     """
-    if m < 32 and q <= 32.0:
-        return math.gamma(q) * (math.gamma(m + 1.0) / math.gamma(m + q))
     if m < 32:
-        return math.prod(j / (q + j - 1.0) for j in range(1, m + 1))
+        return math.gamma(q) * (math.gamma(m + 1.0) / math.gamma(m + q))
 
     def mu(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
         return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
 
-    if q <= 32.0:
-        return math.gamma(q) * math.exp((m + 0.5) * math.log1p((1.0 - q) / (m + q))
-                                        + (1.0 - q) * (math.log(m + q) - 1.0)
-                                        + mu(m + 1.0) - mu(m + q))
-    return math.exp(0.5 * math.log(2.0 * math.pi * (m + q)) - 1.0
-                    - (q - 0.5) * math.log1p(m / q)
-                    - (m + 0.5) * math.log1p((q - 1.0) / (m + 1.0))
-                    + mu(q) + mu(m + 1.0) - mu(m + q))
-
-
-def _nb_head(q: float, j: int, c: float) -> float:
-    """(1-d)^q sum_{i<=j} (q)_i d^i / i! = I_{1-d}(q, j+1) (DLMF 8.17), c = 1-d."""
-    if not 0.0 < c <= 1.0:
-        raise DegenerateSpectrumError("decay base must lie in [0, 1)")
-    return float(betainc(q, j + 1.0, c))
+    return math.gamma(q) * math.exp((m + 0.5) * math.log1p((1.0 - q) / (m + q))
+                                    + (1.0 - q) * (math.log(m + q) - 1.0)
+                                    + mu(m + 1.0) - mu(m + q))
 
 
 def _theorem_sum(m: int, q: float, c: float, k_min: int = 0) -> float:
     """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)) with
     d = 1 - c, which with j = m - k is m B(m, q) times the head j <= m - k_min
-    of the negative binomial series sum_j (q)_j d^j / j! = c^-q.  The caller
-    passes c, not d: near d = 1 only c keeps its digits."""
-    return _m_beta(m, q) * c ** -q * _nb_head(q, m - k_min, c)
+    of the negative binomial series sum_j (q)_j d^j / j! = c^-q, and that head
+    is c^-q I_c(q, m - k_min + 1) (DLMF 8.17).  The caller passes c, not d:
+    near d = 1 only c keeps its digits."""
+    if not 0.0 < c <= 1.0:
+        raise DegenerateSpectrumError("decay base must lie in [0, 1)")
+    return _m_beta(m, q) * c ** -q * float(betainc(q, m - k_min + 1.0, c))
 
 
 def quantization_factors(lam, bits: int) -> QuantizationFactors:
@@ -187,40 +175,24 @@ def delta1_appx(lam, bits: int) -> LossEstimate:
 
 def _deficit_integrand(lam, bits: int):
     """(f, breakpoints): f(u) = F(l1 - u)**m over the gain deficit u, F the
-    gain-law CDF of a normalized spectrum with n <= 4.
+    gain-law CDF of a normalized spectrum.
 
-    f is exp(m log1p(-G)), G = 1 - F summed from the density of the deficit
-    law (spectrum l1 - lam), a polynomial of degree n - 2 on each panel that
-    two Gauss points integrate exactly; all terms are positive, so G keeps
-    its relative precision as u -> 0, where 1 - F, or l1 - x at a rounded x,
+    f is exp(m log1p(-G)), G = 1 - F the CDF of the deficit law (spectrum
+    l1 - lam), whose low tail is a sum of positive terms: G keeps its
+    relative precision as u -> 0, where 1 - F, or l1 - x at a rounded x,
     loses it m-fold.  Above each panel's lower end F**m decays over no less
     than about 1/(4m) of the panel, so each panel is graded toward that end
     down to 1/m of its width: on a coarse panel every node misses the mass at
     large m and the estimate reads 0.
     """
-    if lam.size > 4:
-        raise UnsupportedModelError("full CDF unavailable beyond 4 antennas")
     m = _check_bits(bits)
     edges = lam[0] - lam
     if edges[-1] == 0.0:
         return np.zeros_like, [0.0, 0.0]  # flat spectrum: no loss
     law = WeightedNormLaw(edges[::-1])
-    gauss2 = 0.5 + np.array([[-0.5], [0.5]]) / math.sqrt(3.0)
-
-    def mass(lo, hi):
-        # deficit-law mass on [lo, hi], each pair inside one panel; empty
-        # pairs skip the density, whose branch may be tied there
-        h = hi - lo
-        out = np.zeros(h.shape)
-        wide = h > 0
-        out[wide] = 0.5 * h[wide] * pdf(law, lo[wide] + gauss2 * h[wide]).sum(axis=0)
-        return out
-
-    below = np.append(0.0, np.cumsum(mass(edges[:-1], edges[1:])))
 
     def f(u):
-        k = np.searchsorted(edges, u, side="right") - 1
-        g = np.minimum(below[k] + mass(edges[k], u), 1.0)  # rounding near l_n
+        g = np.minimum(cdf(law, u), 1.0)  # rounding near l_n
         with np.errstate(divide="ignore"):
             return np.exp(m * np.log1p(-g))
 
@@ -287,8 +259,9 @@ def delta1_mc(channel: ChannelRealization, bits: int, n_codebooks: int,
 
 
 def delta1_closed(lam, bits: int) -> LossEstimate:
-    """Best closed form for the dimension: exact (n <= 3) or approximant,
-    falling back to quadrature with a warning when gaps are degenerate."""
+    """Best closed form for the dimension: exact (n <= 3) or approximant.
+    When a gap it needs is below 1e-9 relative, it returns the quadrature
+    oracle's value, at any n, with a warning."""
     lam = _normalized(lam)
     try:
         if lam.size <= 3:
@@ -359,8 +332,12 @@ def delta2_quadrature(lam, rho: float, bits: int, tol: float = 1e-12) -> LossEst
 def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     """Dominant-segment rate-loss approximant for n >= 3.
 
-    Outer geometric-style series with per-order inner sums; truncated at
-    the first term below 1e-12 of the sum, with a hard cap of 1e4 orders.
+    Its outer series sum_i gamma^i int_0^c s^(q_i - 1) (1-s)^m ds, with
+    q_i = (i+1)/(n-1) and c = 1 - d, sums under the integral; with
+    s = u^(n-1) it is (n-1) int_0^(c^(1/(n-1))) (1 - u^(n-1))^m / (1 - gamma u) du.
+    The panels are graded geometrically toward 0 at the scale m^(-1/(n-1)),
+    where (1 - u^(n-1))^m decays, and toward the upper limit at its distance
+    from the pole 1/gamma, where 1/(1 - gamma u) steepens as gamma -> 1.
     """
     lam = check_spectrum(lam)
     n = lam.size
@@ -369,19 +346,22 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     if rho <= 0:
         raise ValueError("rho must be positive")
     qf = quantization_factors(lam, bits)
-    m = qf.m
     a = float(np.exp(np.mean(np.log(lam[0] - lam[1:]))))
     gamma = rho * a / (1.0 + rho * lam[0])
-    pref = rho * a / (_LN2 * (n - 1.0) * (1.0 + rho * lam[0]))
-    total = 0.0
-    for i in range(MAX_OUTER_TERMS):
-        q_i = (i + 1.0) / (n - 1.0)
-        # (1-d)^q_i times the theorem sum, whose factors overflow apart
-        term = gamma ** i / (m + q_i) * _m_beta(m, q_i) * _nb_head(q_i, m, qf.c)
-        total += term
-        if term < 1e-12 * total:
-            return LossEstimate(pref * total, "approx")
-    raise ResourceLimitError("outer series failed to converge within 1e4 orders")
+    k = n - 1.0
+    top, scale = qf.c ** (1.0 / k), qf.m ** (-1.0 / k)
+    steps = 2.0 ** np.arange(64)
+    pts = np.unique(np.clip(np.concatenate(
+        [[0.0], scale * steps, top - (1.0 / gamma - top) * steps]), 0.0, top))
+
+    def f(u):
+        with np.errstate(divide="ignore"):
+            return np.exp(qf.m * np.log1p(-u ** k)) / (1.0 - gamma * u)
+
+    # a tolerance in proportion to the range: its share on the panels near 0
+    # that carry the mass must stay above their rounding
+    value = integrate_piecewise(f, pts, tol=1e-14 * top)
+    return LossEstimate(rho * a / (_LN2 * (1.0 + rho * lam[0])) * value, "approx")
 
 
 def epsilon_b_prime(lam, rho: float, bits: int) -> float:

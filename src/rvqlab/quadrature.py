@@ -1,8 +1,9 @@
 """Adaptive quadrature: composite Gauss-Legendre for the loss oracles, and
 Simpson for the skew integrals and as the oracle's check in the tests.
 
-Deliberately hand-rolled: quadrature is the deterministic oracle that the
-closed forms are checked against, so it must not share code with them.
+Deliberately hand-rolled.  The loss oracles that the closed forms are
+checked against integrate with it, and so does the rate-loss approximant
+``delta2_appx``, whose reference is the mpmath route of its tests instead.
 """
 
 from __future__ import annotations

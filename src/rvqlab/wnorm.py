@@ -1,28 +1,23 @@
 """Distribution of the eigenweighted squared projection of an isotropic vector.
 
 For a unit-norm isotropic complex n-vector f and a spectrum l1 >= ... >= ln,
-the random variable w = sum_i l_i |f_i|^2 has a piecewise-polynomial law on
-[ln, l1].  Closed forms are implemented for n = 2, 3, 4 (cdf and pdf) and for
-the top segment [l2, l1] at any n; everything else falls back to sampling.
-Both take a float or an array of points.
-
-Branch bookkeeping: a segment of zero width (tied eigenvalues) is skipped, so
-spectra with repeated trailing values evaluate through the surviving branches.
-A branch is refused only when its own denominators involve a gap below
-1e-9 * l1.
+the weights |f_i|^2 are uniform on the simplex, so w = sum_i l_i |f_i|^2 has
+as density the normalized B-spline with knots ln, ..., l1 (Curry and
+Schoenberg, 1966).  ``pdf`` and ``cdf`` evaluate it for any n <= MAX_DIM by
+the de Boor-Cox recursion (de Boor, 1972), in which every step is a convex
+combination of nonnegative terms; a zero-width knot span contributes 0, so
+tied eigenvalues need no guard.  Both take a float or an array of points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, UnsupportedRegionError, UnsupportedModelError
-from .linalg import check_spectrum
+from .linalg import MAX_DIM, check_spectrum
 from .rng import RngStream
 
-GAP_RTOL = 1e-9
 _CHUNK = 1 << 16
 
 
@@ -31,10 +26,21 @@ class WeightedNormLaw:
     """Law of the eigenweighted norm for one spectrum (descending, l1 > 0)."""
 
     lam: np.ndarray
+    # ascending knots ln..l1 padded with n - 1 more copies of l1, and for each
+    # order r = 2..n the inverse widths 1/(t[i+r-1] - t[i]), 0 where a width is 0
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_widths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = check_spectrum(self.lam, n_min=2)
+        if lam.size > MAX_DIM:
+            raise ValueError(f"spectrum length exceeds the cap {MAX_DIM}")
+        t = np.append(lam[::-1], np.full(lam.size - 1, lam[0]))
+        widths = [t[r - 1:] - t[:1 - r] for r in range(2, lam.size + 1)]
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "knots", t)
+        object.__setattr__(self, "inv_widths", tuple(
+            np.divide(1.0, w, out=np.zeros_like(w), where=w > 0) for w in widths))
 
     @property
     def n(self) -> int:
@@ -45,115 +51,44 @@ class WeightedNormLaw:
         return float(self.lam[-1]), float(self.lam[0])
 
 
-def _gap_ok(lam, *pairs) -> bool:
-    tol = GAP_RTOL * lam[0]
-    return all(lam[i] - lam[j] >= tol for i, j in pairs)
+def _splines(law: WeightedNormLaw, xs: np.ndarray, order: int, n_knots: int):
+    """De Boor-Cox: the B-splines of an order on the first n_knots knots at
+    the points xs (flat), one row per spline.  Spans are half-open, except
+    that the last nonempty one also takes its top knot."""
+    t = law.knots[:n_knots]
+    top = np.searchsorted(t, t[-1])  # first copy of the top knot
+    span = np.minimum(np.searchsorted(t, xs, side="right"), top) - 1
+    b = ((np.arange(n_knots - 1)[:, None] == span) & (xs <= t[-1])).astype(float)
+    t = t[:, None]
+    for r in range(2, order + 1):
+        inv = law.inv_widths[r - 2][:n_knots - r + 1, None]
+        b = ((xs - t[:n_knots - r]) * inv[:-1] * b[:-1]
+             + (t[r:] - xs) * inv[1:] * b[1:])
+    return b
 
 
-def _require_gaps(lam, *pairs):
-    if not _gap_ok(lam, *pairs):
-        raise DegenerateSpectrumError(
-            "branch denominator gap below 1e-9 of the leading eigenvalue")
-
-
-# libm pow, as the scalar formulas always had: x ** k on an array rounds
-# differently in the last bit
-_pow = np.float_power
-
-
-def _int_rise_fall(a, b, lo, hi):
-    # integral of (t-a)(b-t) dt from lo to hi, computed in shifted form
-    u0, u1 = lo - a, hi - a
-    w = b - a
-    return w * (u1 * u1 - u0 * u0) / 2.0 - (_pow(u1, 3) - u0 ** 3) / 3.0
-
-
-def _by_branch(lam, xs, out, rest, branches):
-    """Fill ``out`` where ``rest`` holds from (mask, gap pairs, formula)
-    branches; each takes the points of its mask no earlier one took, and checks
-    its gaps only when it takes some.  A 0-d ``out`` gives a float."""
-    for mask, gaps, formula in branches:
-        sel = rest & mask
-        if sel.any():
-            _require_gaps(lam, *gaps)
-            out[sel] = formula(xs[sel])
-        rest = rest & ~sel
-    return float(out) if out.ndim == 0 else out
-
-
-def cdf(law: WeightedNormLaw, x):
-    """Exact CDF at x, a float or an array of them.
-
-    n in {2, 3, 4}: any x.  n >= 5: only x at or above l2 (or at/below the
-    support bottom); interior points below l2 raise, callers sample instead.
-    """
-    lam, n = law.lam, law.n
-    xs = np.asarray(x, dtype=float)
-    out = np.where(xs >= lam[0], 1.0, 0.0)
-    inside = (xs > lam[-1]) & (xs < lam[0])
-    l1, l2 = lam[:2]
-    if n == 2:
-        top = lambda t: (t - l2) / (l1 - l2)
-    else:
-        top = lambda t: 1.0 - _pow(l1 - t, n - 1) / np.prod(l1 - lam[1:])
-    branches = [(xs >= l2, [(0, j) for j in range(1, n)], top)]
-    if n == 3:
-        l3 = lam[2]
-        branches.append((True, [(0, 2), (1, 2)],
-                         lambda t: _pow(t - l3, 2) / ((l1 - l3) * (l2 - l3))))
-    elif n == 4:
-        l3, l4 = lam[2:]
-        branches += [(xs <= l3, [(0, 3), (1, 3), (2, 3)],
-                      lambda t: _pow(t - l4, 3) / ((l1 - l4) * (l2 - l4) * (l3 - l4))),
-                     (True, [(0, 2), (1, 3), (1, 2), (0, 3)],
-                      lambda t: _cdf4_middle(lam, t))]
-    elif n > 4 and np.any(inside & (xs < l2)):
-        raise UnsupportedRegionError(
-            f"no closed-form CDF below the second eigenvalue for n={n}")
-    return _by_branch(lam, xs, out, inside, branches)
-
-
-def _cdf4_middle(lam, x):
-    # middle segment [l3, l2]
-    l1, l2, l3, l4 = lam
-    if l3 - l4 >= GAP_RTOL * l1:
-        base = (l3 - l4) ** 2 / ((l1 - l4) * (l2 - l4))
-    else:
-        base = 0.0
-    k = 3.0 / ((l1 - l3) * (l2 - l4))
-    part = (_int_rise_fall(l3, l2, l3, x) / (l2 - l3)
-            + _int_rise_fall(l4, l1, l3, x) / (l1 - l4))
-    return base + k * part
+def _shaped(out, xs):
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def pdf(law: WeightedNormLaw, x):
-    """Exact density at x, a float or an array of them; n in {2, 3, 4} only."""
-    lam, n = law.lam, law.n
-    if n not in (2, 3, 4):
-        raise UnsupportedModelError(f"no closed-form density for n={n}")
+    """Exact density at x, a float or an array of them: the order n-1 spline
+    on the n knots, scaled by (n-1)/(l1-ln).  A flat spectrum reads 0."""
     xs = np.asarray(x, dtype=float)
-    out = np.zeros(xs.shape)
-    inside = (xs >= lam[-1]) & (xs <= lam[0])
-    l1, l2 = lam[:2]
-    if n == 2:
-        return _by_branch(lam, xs, out, inside,
-                          [(True, [(0, 1)], lambda t: 1.0 / (l1 - l2))])
-    if n == 3:
-        l3 = lam[2]
-        return _by_branch(lam, xs, out, inside, [
-            (xs >= l2, [(0, 1), (0, 2)],
-             lambda t: 2.0 * (l1 - t) / ((l1 - l2) * (l1 - l3))),
-            (True, [(0, 2), (1, 2)],
-             lambda t: 2.0 * (t - l3) / ((l1 - l3) * (l2 - l3)))])
-    l3, l4 = lam[2:]
-    return _by_branch(lam, xs, out, inside, [
-        (xs >= l2, [(0, 1), (0, 2), (0, 3)],
-         lambda t: 3.0 * _pow(l1 - t, 2) / ((l1 - l2) * (l1 - l3) * (l1 - l4))),
-        (xs <= l3, [(0, 3), (1, 3), (2, 3)],
-         lambda t: 3.0 * _pow(t - l4, 2) / ((l1 - l4) * (l2 - l4) * (l3 - l4))),
-        (True, [(0, 2), (1, 3), (1, 2), (0, 3)],
-         lambda t: 3.0 / ((l1 - l3) * (l2 - l4)) * (
-             (t - l3) * (l2 - t) / (l2 - l3) + (t - l4) * (l1 - t) / (l1 - l4)))])
+    n = law.n
+    b = _splines(law, xs.ravel(), n - 1, n)[0]
+    return _shaped((n - 1) * law.inv_widths[-1][0] * b, xs)
+
+
+def cdf(law: WeightedNormLaw, x):
+    """Exact CDF at x, a float or an array of them: the sum of the order n
+    splines on the padded knots, whose derivative telescopes to the density.
+    Each term is nonnegative, so the low tail keeps its relative precision."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    out = np.where(flat >= law.lam[0], 1.0,
+                   _splines(law, flat, law.n, law.knots.size).sum(axis=0))
+    return _shaped(out, xs)
 
 
 def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStream) -> np.ndarray:

@@ -89,28 +89,53 @@ def worst_relative_error(name, pairs):
     return worst
 
 
+def mpmath_law(lam):
+    """(cdf, pdf) of the weighted-norm law as mpmath functions of x, written
+    independently of ``wnorm``, at the caller's working precision.
+
+    For distinct eigenvalues this is the divided-difference form
+    F(x) = 1 - sum_{l_i > x} (l_i - x)^(n-1) / prod_{j != i} (l_i - l_j)
+         = sum_{l_i < x} (x - l_i)^(n-1) / prod_{j != i} (l_j - l_i),
+    the second sum taken in the lower half of the support, where the first
+    cancels; when every trailing eigenvalue is tied, it is the Beta law of
+    |f_1|^2.
+    """
+    lam = [mp.mpf(v) for v in lam]
+    n = len(lam)
+    if all(v == lam[1] for v in lam[1:]):
+        def cdf(x):
+            return 1 - ((lam[0] - x) / (lam[0] - lam[1])) ** (n - 1)
+
+        def pdf(x):
+            return (n - 1) * (lam[0] - x) ** (n - 2) / (lam[0] - lam[1]) ** (n - 1)
+        return cdf, pdf
+    dens = [mp.fprod(lam[i] - lam[j] for j in range(n) if j != i)
+            for i in range(n)]
+    mid = (lam[0] + lam[-1]) / 2
+
+    def terms(x, power):
+        if x < mid:
+            return [(x - lam[i]) ** power / ((-1) ** (n - 1) * dens[i])
+                    for i in range(n) if lam[i] < x]
+        return [(lam[i] - x) ** power / dens[i] for i in range(n) if lam[i] > x]
+
+    def cdf(x):
+        total = mp.fsum(terms(x, n - 1))
+        return total if x < mid else 1 - total
+
+    def pdf(x):
+        return (n - 1) * mp.fsum(terms(x, n - 2))
+    return cdf, pdf
+
+
 def mpmath_loss(lam, bits, rho=None):
     """40-digit mean gain loss (rho None) or rate loss in bits.
 
-    Integrates F(x)**m with ``mpmath.quad`` from a CDF written independently
-    of ``wnorm``: the divided-difference form
-    F(x) = 1 - sum_{l_i > x} (l_i - x)^(n-1) / prod_{j != i} (l_i - l_j) for
-    distinct eigenvalues, and the Beta law of |f_1|^2 when every trailing
-    eigenvalue is tied.
+    Integrates F(x)**m with ``mpmath.quad``, F the CDF of ``mpmath_law``.
     """
     with mp.workdps(40):
+        cdf, _ = mpmath_law(lam)
         lam = [mp.mpf(v) for v in lam]
-        n = len(lam)
-        if all(v == lam[1] for v in lam[1:]):
-            def cdf(x):
-                return 1 - ((lam[0] - x) / (lam[0] - lam[1])) ** (n - 1)
-        else:
-            dens = [mp.fprod(lam[i] - lam[j] for j in range(n) if j != i)
-                    for i in range(n)]
-
-            def cdf(x):
-                return 1 - mp.fsum((lam[i] - x) ** (n - 1) / dens[i]
-                                   for i in range(n) if lam[i] > x)
         m = 2 ** bits
         if rho is None:
             weight = 1 / lam[0]

@@ -4,10 +4,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import rvqlab
 from rvqlab.channel import FixedSpectrumModel, IIDModel, KroneckerModel
 from rvqlab import harness
 from rvqlab.cli import main
@@ -327,6 +331,21 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_import_loads_only_scipy_special():
+    # each further scipy subpackage costs import time and resident memory in
+    # every run; a fresh interpreter sees what the import itself loads
+    probe = ("import sys, rvqlab.cli, rvqlab.harness; print(sorted("
+             "m for m, mod in sys.modules.items() if m.count('.') == 1 and "
+             "m.startswith('scipy.') and not m.startswith('scipy._') and "
+             "hasattr(mod, '__path__')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rvqlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['scipy.special']"]
+
+
 _IID = {"kind": "iid", "n_t": 3, "n_r": 2}
 _TINY = {
     "fig1": dict(trials={"samples": 500}),
@@ -353,19 +372,20 @@ _TINY = {
 # those of the GEMM kernel: one real matrix product per slice on the
 # embeddings [[Re M, -Im M], [Im M, Re M]], so they also depend on the BLAS
 # GEMM kernel.  The closed-form columns of fig2, fig5a and fig5b (and of the
-# sliced fig2 pin below) are those of the incomplete-beta theorem sum and the
-# Gauss-Laguerre rate loss, with 1 - d carried as the product
-# prod_j (l1-l2)/(l1-lj).  Recorded with numpy 2.4, scipy 1.17 and OpenBLAS
+# sliced fig2 pin below) are those of the incomplete-beta theorem sum, the
+# Gauss-Laguerre rate loss and the graded-panel integral of delta2_appx, with
+# 1 - d carried as the product prod_j (l1-l2)/(l1-lj).  fig1's exact CDF and
+# fig3's oracle values are those of the de Boor-Cox recursion.  Recorded with numpy 2.4, scipy 1.17 and OpenBLAS
 # 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may round
 # differently.
 _TINY_SHA256 = {
-    "fig1": "af9e46d6ace6e80dfedfd1d69974da15d5dba75d5aa5ec0f764c23c14424f8ff",
+    "fig1": "3ba59bc38de6adc1e4e65fbd4e84d9384efed34c6eda61076aad467eac200742",
     "fig2": "a698355b3bbb53e6455812283ef3952ecba9a5746e9b778a3c71471e7eaffc17",
-    "fig3": "a0ae53757cb7a4071f865b1d914eee424d9ec43935f223b1a14be86e9aa7e81c",
+    "fig3": "94a40e559373d4d9b27824f39d23272421acb17cce4c82086db680715c67c440",
     "fig4a": "800b8f09772c4484923111cda2a334089bfa43fa431dd0635d9ab7fb9ed7f930",
     "fig4b": "1999018fca5dd36bcb91c1e2f832506c28dcf4f83c09631e11f0086f7a12e10b",
-    "fig5a": "fc66c4480a49667ebaab9a1d334439efc8ed69cd684ddd5140e4a6c93a990d57",
-    "fig5b": "89b566b8bd50ef1e7939f9f16e16756c90a2f329d9b94e87667bea9ab76117b9",
+    "fig5a": "def31301c0a3a4963662e575c21886f5079798e138b7d7c21f7d0a27ffbdb322",
+    "fig5b": "5809b74728cf8fdfc300b022e956882108673bf66ef0c3146acd1ea7ca6ee6aa",
     "fig6a": "8836e329823f913c3ae4da4d644e4c7c5f28fa286842e442828744895c06fe80",
     "fig6b": "ad0a4f3a916aa747554a063c2bf0df0873e6a2aa7e79cc93d8ac5e62ece9b9f5",
     "fig6c": "5b5fc5ec29bb645dd88663cf15e6875bbc7e0fdc4c2d6c70f1f22d9818fb4b30",

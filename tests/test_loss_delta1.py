@@ -11,12 +11,11 @@ from helpers import diag_channel, mpmath_loss, worst_relative_error
 from rvqlab.channel import FixedSpectrumModel, sample_channel
 from rvqlab.errors import (DegenerateSpectrumError, ResourceLimitError,
                            UnsupportedModelError)
-from rvqlab.loss import (_m_beta, _theorem_sum, delta1_appx,
+from rvqlab.loss import (GAP_RTOL, _theorem_sum, delta1_appx,
                          delta1_asympt, delta1_closed, delta1_exact, delta1_mc,
                          delta1_miso, delta1_quadrature, epsilon_b,
                          epsilon_b_log2, quantization_factors)
 from rvqlab.rng import RngStream
-from rvqlab.wnorm import GAP_RTOL
 
 
 def test_quantization_factors():
@@ -124,6 +123,23 @@ def test_closed_dispatch_and_fallback():
                                       abs=1e-10)
 
 
+def test_closed_fallback_any_dimension():
+    # n = 5 with a 1e-12 top gap: the approximant refuses, the oracle answers
+    lam = [1.0, 1.0 - 1e-12, 0.6, 0.3, 0.1]
+    est = delta1_closed(lam, 4)
+    assert (est.method, est.warning) == ("quadrature", "degenerate-gap fallback")
+    assert est.value == delta1_quadrature(lam, 4).value
+    assert est.value == pytest.approx(float(mpmath_loss(lam, 4)), rel=1e-12)
+
+
+def test_quadrature_matches_mc_at_six_antennas():
+    lam = [1.0, 0.8, 0.8, 0.5, 0.2, 0.2]
+    for bits in (2, 4):
+        est = delta1_mc(diag_channel(lam), bits, 4000,
+                        RngStream(4).derive("mc6").derive(bits))
+        assert abs(est.value - delta1_quadrature(lam, bits).value) <= 4 * est.stderr
+
+
 def test_epsilon_vanishes_with_flat_tail():
     assert epsilon_b([4.0, 1.0, 1.0, 1.0], 3) == 0.0
 
@@ -187,23 +203,6 @@ def test_theorem_sum_matches_mpmath():
         assert worst_relative_error("_theorem_sum", [
             (_theorem_sum(m, q, 1.0 - d, k_min), w)
             for (m, q, d, k_min), w in want.items()]) <= 1e-13
-
-
-def test_m_beta_matches_mpmath_at_large_q():
-    # the rate-loss approximant's outer orders reach q = 1e4 / (n-1), past
-    # the overflow of Gamma(q) at 171.6.  Weights below 1e-100 are left out:
-    # the rounding of their logarithm, past -230, alone nears 1e-13 relative,
-    # and no rate-loss term that small counts
-    pairs = []
-    with mp.workdps(40):
-        for q in (31.9, 32.0, 33.0, 100.0, 171.7, 1000.0, 5000.0):
-            for bits in range(0, 21):
-                m, qq = 1 << bits, mp.mpf(q)
-                want = mp.gamma(qq) * mp.gamma(m + 1) / mp.gamma(m + qq)
-                if want > mp.mpf(10) ** -100:
-                    pairs.append((_m_beta(m, q), want))
-    assert len(pairs) > 50
-    assert worst_relative_error("_m_beta", pairs) <= 1e-13
 
 
 def test_exact_three_antennas_matches_mpmath():

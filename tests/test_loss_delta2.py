@@ -171,13 +171,12 @@ def test_appx_with_a_decay_base_that_rounds_to_one():
 
 
 def test_appx_slowly_converging_outer_series():
-    # gamma = 0.98: the outer orders reach q = 172 and beyond, past the
-    # overflow of Gamma(q).  The series stops at its first term below 1e-12
-    # of the sum, and the tail left is up to gamma/(1-gamma) = 49 times that
-    for bits in (0, 1):
-        a = delta2_appx([1.0, 0.01, 0.01], 100.0, bits).value
-        assert a == pytest.approx(_method2([1.0, 0.01, 0.01], 100.0, bits),
-                                  rel=1e-10)
+    # gamma = 0.98 and 0.9989: a series in gamma^i, cut at its first term
+    # below 1e-12 of the sum, left up to gamma/(1-gamma) times that behind
+    for lam, rho in (([1.0, 0.01, 0.01], 100.0), ([1.0, 1e-3, 1e-3], 1e4)):
+        for bits in (0, 1):
+            a = delta2_appx(lam, rho, bits).value
+            assert a == pytest.approx(_method2(lam, rho, bits), rel=1e-13)
 
 
 def test_epsilon_prime_flat_tail():

@@ -8,10 +8,9 @@ import pytest
 
 from helpers import mpmath_loss
 from rvqlab.errors import ResourceLimitError
-from rvqlab.loss import (_deficit_integrand, _normalized, delta1_quadrature,
-                         delta2_quadrature)
+from rvqlab.loss import (GAP_RTOL, _deficit_integrand, _normalized,
+                         delta1_quadrature, delta2_quadrature)
 from rvqlab.quadrature import adaptive_simpson, integrate_piecewise
-from rvqlab.wnorm import GAP_RTOL
 
 SPECTRA = [
     [2.0, 1.0],
@@ -22,6 +21,11 @@ SPECTRA = [
     [1.0, 0.0, 0.0, 0.0],                 # rank one
     [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5],    # top gap just above the guard
     [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5, 0.2],
+    [5.0, 4.0, 3.0, 2.0, 1.0],
+    [6.0, 4.0, 3.0, 2.5, 1.0, 0.5],
+    [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+    [1.0, 0.2, 0.2, 0.2, 0.2],            # tied trailing, n = 5
+    [1.0, 0.5, 0.5 - 1.01 * GAP_RTOL, 0.2, 0.1],  # inner near-tie
 ]
 BITS = [0, 1, 2, 4, 8, 12, 16, 20, 24]  # fig3's validate cap is 24
 RHO = 3.0
@@ -32,7 +36,7 @@ RHO = 3.0
 def test_gain_loss_oracle_matches_mpmath(lam, bits):
     want = mpmath_loss(lam, bits)
     got = delta1_quadrature(lam, bits).value
-    assert abs(got - want) <= 1e-10 * want
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("bits", BITS)
@@ -40,7 +44,7 @@ def test_gain_loss_oracle_matches_mpmath(lam, bits):
 def test_rate_loss_oracle_matches_mpmath(lam, bits):
     want = mpmath_loss(lam, bits, RHO)
     got = delta2_quadrature(lam, RHO, bits).value
-    assert abs(got - want) <= 1e-10 * want
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("lam", SPECTRA, ids=str)

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvqlab.errors import (DegenerateSpectrumError, UnsupportedModelError,
-                           UnsupportedRegionError)
+from helpers import mpmath_law, worst_relative_error
+from rvqlab.linalg import MAX_DIM
+from rvqlab.loss import GAP_RTOL
 from rvqlab.quadrature import integrate_piecewise
 from rvqlab.rng import RngStream
 from rvqlab.wnorm import (WeightedNormLaw, cdf, empirical_cdf,
@@ -43,8 +45,6 @@ def test_cdf_top_segment_any_dimension():
     x = 5.0
     want = 1.0 - (6.0 - x) ** 5 / np.prod(6.0 - np.array(lam[1:]))
     assert cdf(law, x) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(UnsupportedRegionError):
-        cdf(law, 1.5)
 
 
 def test_pdf_uniform_two_antennas():
@@ -61,12 +61,16 @@ def test_pdf_three_antennas_midpoint():
 
 
 def test_pdf_dimension_guard():
-    with pytest.raises(UnsupportedModelError):
-        pdf(WeightedNormLaw([5.0, 4.0, 3.0, 2.0, 1.0]), 3.0)
+    # every n up to the cap evaluates; the knot tables grow as n^2 beyond it
+    law = WeightedNormLaw(np.arange(MAX_DIM, 0.0, -1.0))
+    assert 0.0 < pdf(law, MAX_DIM / 2.0) and 0.0 < cdf(law, 1.5) < 1e-80
+    with pytest.raises(ValueError):
+        WeightedNormLaw(np.arange(MAX_DIM + 1, 0.0, -1.0))
 
 
 def test_pdf_normalization_and_cdf_derivative():
-    for lam in ([3.0, 2.0, 1.0], [4.0, 3.0, 2.0, 1.0]):
+    for lam in ([3.0, 2.0, 1.0], [4.0, 3.0, 2.0, 1.0],
+                [6.0, 4.0, 3.0, 2.5, 1.0, 0.5]):
         law = WeightedNormLaw(lam)
         total = integrate_piecewise(lambda x: pdf(law, x), list(law.lam[::-1]),
                                     tol=1e-10)
@@ -77,12 +81,48 @@ def test_pdf_normalization_and_cdf_derivative():
             assert slope == pytest.approx(pdf(law, x), abs=1e-6)
 
 
-def test_degenerate_gap_refused_where_needed():
-    law = WeightedNormLaw([2.0, 2.0 - 1e-12, 1.0])
-    with pytest.raises(DegenerateSpectrumError):
-        cdf(law, 2.0 - 1e-13)  # top segment divides by the tied gap
-    # the lower branch only needs gaps to the bottom eigenvalue
-    assert cdf(law, 1.5) == pytest.approx(0.25, rel=1e-6)
+def test_near_tied_gap_matches_mpmath():
+    # a zero-width knot span contributes 0, so a gap of 1e-12 needs no guard
+    lam = [2.0, 2.0 - 1e-12, 1.0]
+    law = WeightedNormLaw(lam)
+    xs = [2.0 - 1e-13, 2.0 - 2e-12, 1.5, 1.0 + 1e-6]
+    with mp.workdps(40):
+        want_cdf, want_pdf = mpmath_law(lam)
+        assert worst_relative_error("near-tied law", [
+            (fn(law, x), want(mp.mpf(x))) for x in xs
+            for fn, want in ((cdf, want_cdf), (pdf, want_pdf))]) <= 1e-13
+
+
+# n <= 8 with distinct, tied, rank-deficient and near-tied (1.01e-9) knots
+LAW_SPECTRA = [
+    [2.0, 1.0],
+    [3.0, 2.0, 1.0],
+    [4.0, 3.0, 2.0, 1.0],
+    [0.7, 0.1, 0.1, 0.1],
+    [1.0, 0.0, 0.0],
+    [5.0, 4.0, 3.0, 2.0, 1.0],
+    [6.0, 4.0, 3.0, 2.5, 1.0, 0.5],
+    [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+    [1.0, 0.2, 0.2, 0.2, 0.2],
+    [1.0, 1.0 - 1.01 * GAP_RTOL, 0.5, 0.2],
+    [1.0, 0.5, 0.5 - 1.01 * GAP_RTOL, 0.2, 0.1],
+]
+
+
+@pytest.mark.parametrize("lam", LAW_SPECTRA, ids=str)
+def test_law_matches_divided_differences(lam):
+    # interior points off the knots, and 1e-6 of the spread from each end,
+    # where the density and the CDF's low tail are smallest
+    law = WeightedNormLaw(lam)
+    lo, hi = law.support
+    xs = np.append(lo + (hi - lo) * (np.arange(40) + 0.5) / 40,
+                   [lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo)])
+    with mp.workdps(40):
+        want_cdf, want_pdf = mpmath_law(lam)
+        for fn, want in ((cdf, want_cdf), (pdf, want_pdf)):
+            assert worst_relative_error(fn.__name__, [
+                (got, want(mp.mpf(float(x)))) for got, x in zip(fn(law, xs), xs)
+            ]) <= 1e-13
 
 
 def test_scale_invariance():
@@ -96,6 +136,8 @@ def test_flat_spectrum_samples_are_constant():
     law = WeightedNormLaw([1.0, 1.0, 1.0])
     out = sample_weighted_norms(law, 5000, RngStream(2).derive("flat"))
     assert np.all(out == 1.0)
+    # and its CDF is a step at l1
+    assert cdf(law, [0.5, 1.0 - 1e-12, 1.0, 2.0]).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_sampling_chunk_layout_invariant():
@@ -160,18 +202,16 @@ def test_cap_volume_mixed_derivative_recovers_density():
 @given(st.integers(0, 10 ** 6))
 def test_cdf_monotone_random_spectra(seed):
     rng = np.random.default_rng(seed)
-    lam = np.sort(rng.uniform(0.1, 4.0, size=4))[::-1]
+    lam = np.sort(rng.uniform(0.1, 4.0, size=rng.integers(2, 9)))[::-1]
     law = WeightedNormLaw(lam)
-    try:
-        vals = [cdf(law, x) for x in np.linspace(lam[-1], lam[0], 25)]
-    except DegenerateSpectrumError:
-        return
+    vals = [cdf(law, x) for x in np.linspace(lam[-1], lam[0], 25)]
     assert np.all(np.diff(vals) >= -1e-12)
     assert min(vals) >= 0.0 and max(vals) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("lam", [[2.0, 1.0], [3.0, 2.0, 1.0],
-                                 [4.0, 3.0, 2.0, 1.0], [0.7, 0.1, 0.1, 0.1]],
+                                 [4.0, 3.0, 2.0, 1.0], [0.7, 0.1, 0.1, 0.1],
+                                 [6.0, 4.0, 3.0, 2.5, 1.0, 0.5]],
                          ids=str)
 def test_array_evaluation_matches_scalar_bit_for_bit(lam):
     # every branch, the breakpoints themselves, and points outside the support
