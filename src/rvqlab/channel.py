@@ -157,10 +157,10 @@ def sample_channel(model: ChannelModel, rng: np.random.Generator) -> ChannelReal
 
 def sample_grams(model: ChannelModel, rngs) -> tuple[np.ndarray, np.ndarray]:
     """``sample_channel``'s Grams H'H of one draw per generator, stacked, and
-    their top eigenvalues from one stacked eigenvalue solve."""
+    their spectra (each descending) from one stacked eigenvalue solve."""
     h = np.array([_sample_matrix(model, rng) for rng in rngs], dtype=complex)
     grams = h.conj().swapaxes(1, 2) @ h
-    return grams, hermitian_eig(grams, vectors=False).values[:, 0]
+    return grams, hermitian_eig(grams, vectors=False).values
 
 
 def mean_energy(model: ChannelModel) -> float:

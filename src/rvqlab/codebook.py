@@ -4,65 +4,103 @@ An RVQ codebook of B bits holds 2^B isotropic unit vectors, and the best
 entry for a channel Gram G maximizes f'Gf; a skewed codebook maps every
 entry through a fixed matrix A and renormalizes.  A normalized complex
 Gaussian is isotropic and the quotient is scale-free, so the kernel never
-builds unit vectors: it draws Gaussian codewords f and keeps the best
-(f'Mf)/(f'Nf), with (M, N) = (G, I) for plain RVQ and (A'GA, A'A) for a
-skew.
+builds unit vectors: it keeps the best (f'Mf)/(f'Nf) of Gaussian codewords
+f, with (M, N) = (G, I) for plain RVQ and (A'GA, A'A) for a skew.
 
-For Hermitian M, f'Mf = x'Ex with x = [Re f; Im f] and the real embedding
+The codewords are drawn on the Gram's eigenbasis, G = U diag(lam) U' and
+f = U g, in two parts:
+
+* the weights |g_i|^2 = e_i, n Exp(1) variables from the chunk's stream.
+  A plain row reads only these: f'Gf / f'f = lam'e / sum(e), a draw of the
+  weighted-norm law (``wnorm.draw_weighted_norms``), with no matrix product.
+* the phases g_i / |g_i| = z_i / |z_i| of complex normals z from the
+  chunk's "phase" child stream.  Only a skewed row reads them, so they are
+  drawn only when a skew shares the call; a plain row's value does not
+  depend on whether they were drawn, and plain and skewed rows of one call
+  still share their codewords.
+
+A skewed row is (g'B'GBg)/(g'B'Bg) with B = AU.  For Hermitian M,
+g'Mg = x'Ex with x = [Re g; Im g] and the real embedding
 E = [[Re M, -Im M], [Im M, Re M]], so one real matrix product per group of
-stacked embeddings gives every form of a codeword slice.  The last bits of
-each value therefore depend on the BLAS GEMM kernel.
+stacked embeddings gives every skewed form of a codeword slice; the last
+bits of those values depend on the BLAS GEMM kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .linalg import hermitian_eig
 from .rng import RngStream
+from .wnorm import draw_weighted_norms
 
 _MC_BLOCK = 1 << 16
 
 
-def best_quotients(pairs, bits: int, n_codebooks: int,
-                   stream: RngStream) -> np.ndarray:
+def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream,
+                   lam=None) -> np.ndarray:
     """Monte Carlo kernel: the (K, n_codebooks) array of best quotients.
 
     Every codebook holds 2^bits complex Gaussian codewords f shared by the K
     (M, N) pairs; row k holds each codebook's max of (f'Mf)/(f'Nf), where
-    N = None means the plain norm f'f.  Chunk c draws from stream.derive(c),
-    so values do not depend on the worker layout.  A codebook larger than
-    the block is drawn in codeword slices from the same generator, so memory
-    stays bounded at any bits.
+    N = None means the plain norm f'f.  Every plain pair carries the one
+    Gram G (I when there is none), and the codewords are drawn on its
+    eigenbasis.  Given lam, the pairs are already written on that basis and
+    G = diag(lam); otherwise G is decomposed here and the skewed pairs are
+    rotated onto its eigenbasis.  Chunk c draws from stream.derive(c), so
+    values do not depend on the worker layout.  A codebook larger than the
+    block is drawn in codeword slices from the same generators, coordinate
+    by coordinate, so memory stays bounded at any bits, and the values
+    depend on the fixed slice width.
     """
     m = 1 << bits
     n = pairs[0][0].shape[0]
     per_chunk = max(1, _MC_BLOCK // (m * n))
     step = max(1, _MC_BLOCK // n)
-    skewed = np.array([nn is not None for _, nn in pairs])
-    mats = np.array([mm for mm, _ in pairs] + [nn for _, nn in pairs
-                                                 if nn is not None], dtype=complex)
-    re, im = mats.real, mats.imag  # the embeddings E, stacked as rows of emb
-    emb = np.concatenate([np.concatenate([re, -im], 2),
-                          np.concatenate([im, re], 2)], 1).reshape(-1, 2 * n)
-    n_pairs, n_mats = len(pairs), len(mats)
-    # rows of forms: the forms of mats (numerators, skewed denominators), f'f
-    den_rows = np.where(skewed, n_pairs - 1 + skewed.cumsum(), n_mats)
-    best = np.full((n_pairs, n_codebooks), -np.inf)
+    skews = [pair for pair in pairs if pair[1] is not None]
+    s = len(skews)
+    u = None
+    if lam is None:
+        eig = hermitian_eig(next((mm for mm, nn in pairs if nn is None), np.eye(n)))
+        lam, u = eig.values, eig.vectors
+    if s:  # skewed numerators, then their denominators, on the eigenbasis
+        mats = np.array([mm for mm, _ in skews] + [nn for _, nn in skews],
+                        dtype=complex)
+        if u is not None:
+            mats = u.conj().T @ mats @ u
+        re, im = mats.real, mats.imag  # the embeddings E, stacked as rows of emb
+        emb = np.concatenate([np.concatenate([re, -im], 2),
+                              np.concatenate([im, re], 2)], 1).reshape(-1, 2 * n)
+    # rows of best: the skews in order, then the one plain row
+    best = np.full((s + 1, n_codebooks), -np.inf)
     for chunk, pos in enumerate(range(0, n_codebooks, per_chunk)):
         take = min(per_chunk, n_codebooks - pos)
-        gen = stream.derive(chunk).generator()
+        sub = stream.derive(chunk)
+        gen = sub.generator()
+        phases = sub.derive("phase").generator() if s else None
         out = best[:, pos:pos + take]
         for lo in range(0, m, step):
-            x = gen.standard_normal((take, min(step, m - lo), n, 2))
-            x = x.reshape(-1, n, 2).T.reshape(2 * n, -1)  # rows Re f, then Im f
-            forms = np.empty((n_mats + 1, x.shape[1]))
+            cols = take * min(step, m - lo)
+            plain, e = draw_weighted_norms(lam, gen, cols)
+            np.maximum(out[s], plain.reshape(take, -1).max(axis=1), out=out[s])
+            if not s:
+                continue
+            x = phases.standard_normal((2, n, cols))  # Re z, then Im z
             group = max(1, _MC_BLOCK // x.size)  # matrices per product block
-            for lo_k in range(0, n_mats, group):
-                hi = min(lo_k + group, n_mats)
-                y = (emb[2 * n * lo_k:2 * n * hi] @ x).reshape(hi - lo_k, 2 * n, -1)
+            # one buffer takes |z|^2, then every product of the slice:
+            # touching fresh memory costs more than the arithmetic on it
+            buf = np.empty((min(group, 2 * s) * 2 * n, cols))
+            r, sq = buf[:n], buf[n:2 * n]
+            np.add(np.multiply(x[0], x[0], out=r), np.multiply(x[1], x[1], out=sq), out=r)
+            np.sqrt(np.divide(e, r, out=e), out=e)
+            x = np.multiply(x, e, out=x).reshape(2 * n, cols)  # [Re g; Im g]
+            forms = np.empty((2 * s, cols))
+            for lo_k in range(0, 2 * s, group):
+                hi = min(lo_k + group, 2 * s)
+                y = np.matmul(emb[2 * n * lo_k:2 * n * hi], x,
+                              out=buf[:2 * n * (hi - lo_k)]).reshape(hi - lo_k, 2 * n, -1)
                 np.multiply(y, x, out=y).sum(axis=1, out=forms[lo_k:hi])
-            np.multiply(x, x, out=x).sum(axis=0, out=forms[-1])
-            for k, d in enumerate(den_rows):  # in place: every d >= n_pairs
-                forms[k] /= forms[d]
-            np.maximum(out, forms[:n_pairs].reshape(n_pairs, take, -1).max(axis=2), out=out)
-    return best
+            np.divide(forms[:s], forms[s:], out=forms[:s])
+            np.maximum(out[:s], forms[:s].reshape(s, take, -1).max(axis=2), out=out[:s])
+    skewed = np.array([nn is not None for _, nn in pairs])
+    return best[np.where(skewed, skewed.cumsum() - 1, s)]

@@ -34,7 +34,8 @@ from .wnorm import WeightedNormLaw, cdf
 MAX_CLOSED_FORM_BITS = 20
 GAP_RTOL = 1e-9
 _LN2 = math.log(2.0)
-# complex entries one block of channels may stack: every H, G and A'GA
+# complex entries one block of channels may stack, counted as every H and G
+# and one n x n matrix per skew (B = AU, B'GB and B'B take a few times that)
 _STACK_ENTRIES = 1 << 20
 
 
@@ -434,20 +435,29 @@ def _check_sampling(bits: int, rho, n_draws: int, what: str):
         raise ValueError(f"need at least 2 {what} for a standard error")
 
 
-def _loss_samples(grams: np.ndarray, tops: np.ndarray, skews, bits: int,
+def _loss_samples(grams: np.ndarray, spectra: np.ndarray, skews, bits: int,
                   n_codebooks: int, streams, rho):
     """Yield, per Gram of a stack, the (len(skews), n_codebooks) losses of
-    fresh codebooks on shared codewords from that Gram's stream; each skew's
-    A'A is formed once, and its A'GA in one stacked product over the Grams."""
+    fresh codebooks on shared codewords from that Gram's stream, drawn on its
+    eigenbasis.  The spectra (descending) are the plain rows' whether or not
+    skews are present; the eigenvectors U come from one stacked solve, taken
+    only when a skew needs them, and every skew's pairs (B'GB, B'B), B = AU,
+    from stacked products over the skews and Grams."""
     if any(a is not None and a.shape != grams.shape[1:] for a in skews):
         raise ValueError("skew and channel dimensions disagree")
-    if (tops <= 0).any():
+    if (spectra[:, 0] <= 0).any():
         raise ValueError("zero channel")
-    k = len(grams)
-    per_skew = [zip(grams, [None] * k) if a is None else
-                zip(a.conj().T @ grams @ a, [a.conj().T @ a] * k) for a in skews]
-    for pairs, top, stream in zip(zip(*per_skew), tops, streams):
-        best = best_quotients(pairs, bits, n_codebooks, stream)
+    matrices = [a for a in skews if a is not None]
+    if matrices:  # U, columns descending, and B = AU for every skew
+        b = np.array(matrices)[:, None] @ np.linalg.eigh(grams)[1][..., ::-1]
+        bh = b.conj().swapaxes(-1, -2)
+        nums, dens = bh @ grams @ b, bh @ b
+    at = np.cumsum([a is not None for a in skews]) - 1  # index among matrices
+    for j, (lam, stream) in enumerate(zip(spectra, streams)):
+        pairs = [(grams[j], None) if a is None else (nums[i, j], dens[i, j])
+                 for a, i in zip(skews, at)]
+        best = best_quotients(pairs, bits, n_codebooks, stream, lam)
+        top = lam[0]
         if rho is None:
             yield (top - best) / top
         else:
@@ -465,7 +475,7 @@ def sampled_losses(channel: ChannelRealization, skews, bits: int,
     in bits at that power.
     """
     _check_sampling(bits, rho, n_codebooks, "codebooks")
-    samples, = _loss_samples(channel.gram[None], channel.spectrum[:1], skews,
+    samples, = _loss_samples(channel.gram[None], channel.spectrum[None], skews,
                              bits, n_codebooks, [stream], rho)
     return [LossEstimate.from_samples(s) for s in samples]
 
@@ -486,9 +496,9 @@ def channel_averaged_losses(model: ChannelModel, skews, bits: int,
     means = []
     for lo in range(0, n_channels, block):
         subs = [stream.derive(i) for i in range(lo, min(lo + block, n_channels))]
-        grams, tops = sample_grams(model, (s.derive("channel").generator() for s in subs))
-        means += [[s.mean() for s in samples] for samples in _loss_samples(
-            grams, tops, skews, bits, n_codebooks,
+        grams, spectra = sample_grams(model, (s.derive("channel").generator() for s in subs))
+        means += [samples.mean(axis=1) for samples in _loss_samples(
+            grams, spectra, skews, bits, n_codebooks,
             (s.derive("codebooks") for s in subs), rho)]
     return [LossEstimate.from_samples(row) for row in np.array(means).T]
 

@@ -369,10 +369,10 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     if n_channels < 1:
         raise ValueError("need at least one channel draw")
     # the design channels are drawn in turn from one generator
-    grams, tops = sample_grams(model, [stream.derive("channels").generator()] * n_channels)
+    grams, spectra = sample_grams(model, [stream.derive("channels").generator()] * n_channels)
     dim = grams.shape[1]
     mean_gram = sum(grams) / len(grams)
-    objective_of = _skew_objective(grams, tops, alpha)
+    objective_of = _skew_objective(grams, spectra[:, 0], alpha)
     eig_mean = hermitian_eig(mean_gram)
     es = hermitian_eig(transmit_covariance(model).sigma_t)
     sv = np.clip(es.values, 1e-12 * max(es.values[0], 1e-300), None)

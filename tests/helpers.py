@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 
 from rvqlab.channel import ChannelRealization
+from rvqlab.linalg import hermitian_eig
 
 
 def complex_gaussian(rng, shape):
@@ -30,17 +31,42 @@ def diag_channel(lam):
     return ChannelRealization(np.diag(root).astype(complex))
 
 
-def rvq_codebooks(stream, bits, n, n_codebooks, skew=None):
+def codeword_basis(pairs):
+    """The basis U of the kernel's codewords f = U g for these pairs when it
+    is given no spectrum: the eigenvectors, descending, of the first plain
+    pair's Gram, or of the identity when there is none."""
+    n = pairs[0][0].shape[0]
+    return hermitian_eig(next((mm for mm, nn in pairs if nn is None), np.eye(n))).vectors
+
+
+def chunk_generators(stream, chunk):
+    """The kernel's two generators of a chunk: Exp(1) weights from
+    stream.derive(chunk), phases from its "phase" child."""
+    sub = stream.derive(chunk)
+    return sub.generator(), sub.derive("phase").generator()
+
+
+def slice_codewords(gens, u, cols):
+    """The kernel's next cols codewords f = U g of a chunk, as a (cols, n)
+    complex array: |g_i|^2 are (n, cols) Exp(1) draws and g_i / |g_i| =
+    z_i / |z_i| the phases of (2, n, cols) normals z."""
+    weights, phases = gens
+    e = weights.standard_exponential((u.shape[0], cols))
+    z = phases.standard_normal((2, u.shape[0], cols))
+    z = z[0] + 1j * z[1]
+    return np.einsum("ij,jc->ci", u, np.sqrt(e) * z / np.abs(z))
+
+
+def rvq_codebooks(stream, bits, u, n_codebooks, skew=None):
     """Explicit RVQ codebooks, the Monte Carlo kernel's reference.
 
     The (n_codebooks, 2**bits, n) unit-norm codewords are normalized from the
-    kernel's own Gaussians for one chunk; a skew A maps each codeword w to
-    A w, renormalized.  They match the kernel's draws while all codebooks fit
-    in its first chunk.
+    kernel's own draws for one chunk and slice, on the basis u; a skew A maps
+    each codeword w to A w, renormalized.  They match the kernel's draws
+    while all codebooks fit in its first chunk and slice.
     """
-    g = stream.derive(0).generator().standard_normal(
-        (n_codebooks, 1 << bits, n, 2))
-    w = g[..., 0] + 1j * g[..., 1]
+    f = slice_codewords(chunk_generators(stream, 0), u, n_codebooks << bits)
+    w = f.reshape(n_codebooks, 1 << bits, -1)
     w /= np.linalg.norm(w, axis=-1, keepdims=True)
     if skew is not None:
         w = w @ skew.T
@@ -56,24 +82,25 @@ def selected_gains(books, gram):
 def einsum_best_quotients(pairs, bits, n_codebooks, stream):
     """The Monte Carlo kernel as complex einsums, an independent reference.
 
-    Same chunks, streams and codeword slices as ``codebook.best_quotients``;
-    each quadratic form is ``einsum("cki,ij,ckj->ck", conj(f), M, f).real``
-    and the plain norm ``einsum("cki,cki->ck", conj(f), f).real``.
+    Same chunks, streams, codeword slices and basis as
+    ``codebook.best_quotients`` given no spectrum, with explicit
+    codewords f = U g; each quadratic form is
+    ``einsum("cki,ij,ckj->ck", conj(f), M, f).real`` and the plain norm
+    ``einsum("cki,cki->ck", conj(f), f).real``.
     """
     m, n, block = 1 << bits, pairs[0][0].shape[0], 1 << 16
     per_chunk = max(1, block // (m * n))
     step = max(1, block // n)
-    plain = any(nn is None for _, nn in pairs)
+    u = codeword_basis(pairs)
     best = np.full((len(pairs), n_codebooks), -np.inf)
     for chunk, pos in enumerate(range(0, n_codebooks, per_chunk)):
         take = min(per_chunk, n_codebooks - pos)
-        gen = stream.derive(chunk).generator()
+        gens = chunk_generators(stream, chunk)
         out = best[:, pos:pos + take]
         for lo in range(0, m, step):
-            g = gen.standard_normal((take, min(step, m - lo), n, 2))
-            f = g[..., 0] + 1j * g[..., 1]
+            f = slice_codewords(gens, u, take * min(step, m - lo)).reshape(take, -1, n)
             fc = f.conj()
-            norm2 = np.einsum("cki,cki->ck", fc, f).real if plain else None
+            norm2 = np.einsum("cki,cki->ck", fc, f).real
             for k, (mm, nn) in enumerate(pairs):
                 num = np.einsum("cki,ij,ckj->ck", fc, mm, f).real
                 den = norm2 if nn is None else np.einsum(

@@ -36,12 +36,14 @@ def test_stacked_grams_match_sample_channel():
               FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], frozen=True)]
     for model in models:
         keys = [f"stack{i}" for i in range(6)]
-        grams, tops = sample_grams(model, (_gen(k) for k in keys))
-        assert grams.shape == (len(keys), 4, 4) and tops.shape == (len(keys),)
-        for key, gram, top in zip(keys, grams, tops):
+        grams, spectra = sample_grams(model, (_gen(k) for k in keys))
+        assert grams.shape == (len(keys), 4, 4) and spectra.shape == (len(keys), 4)
+        for key, gram, spectrum in zip(keys, grams, spectra):
             ch = sample_channel(model, _gen(key))
             assert np.abs(gram - ch.gram).max() <= 1e-13 * np.abs(ch.gram).max()
-            assert top == pytest.approx(ch.spectrum[0], rel=1e-13)
+            assert spectrum[0] == pytest.approx(ch.spectrum[0], rel=1e-13)
+            # the channel clips rounding below 0 where the rank is below 4
+            assert np.abs(spectrum - ch.spectrum).max() <= 1e-13 * ch.spectrum[0]
 
 
 def test_fixed_spectrum_recovery():

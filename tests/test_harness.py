@@ -368,10 +368,13 @@ _TINY = {
 
 # sha256 of each _TINY CSV at seed 3.  The sampled columns are draws of the
 # SFC64 streams, with each channel-averaged task's channels drawn first and
-# their Grams' top eigenvalues taken in one stacked solve.  Their bytes are
-# those of the GEMM kernel: one real matrix product per slice on the
-# embeddings [[Re M, -Im M], [Im M, Re M]], so they also depend on the BLAS
-# GEMM kernel.  The closed-form columns of fig2, fig5a and fig5b (and of the
+# their Grams' spectra taken in one stacked solve.  The kernel draws each
+# codeword on its Gram's eigenbasis: n Exp(1) weights, which alone give a
+# plain RVQ row, and, when a skew shares the call, the phases of normals
+# from a child stream; a skewed row is one real matrix product per slice on
+# the embeddings [[Re M, -Im M], [Im M, Re M]], so its bytes also depend on
+# the BLAS GEMM kernel.  fig1's empirical CDF draws its weights the same
+# way.  The closed-form columns of fig2, fig5a and fig5b (and of the
 # sliced fig2 pin below) are those of the incomplete-beta theorem sum, the
 # Gauss-Laguerre rate loss and the graded-panel integral of delta2_appx, with
 # 1 - d carried as the product prod_j (l1-l2)/(l1-lj).  fig1's exact CDF and
@@ -379,18 +382,18 @@ _TINY = {
 # 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may round
 # differently.
 _TINY_SHA256 = {
-    "fig1": "3ba59bc38de6adc1e4e65fbd4e84d9384efed34c6eda61076aad467eac200742",
-    "fig2": "a698355b3bbb53e6455812283ef3952ecba9a5746e9b778a3c71471e7eaffc17",
+    "fig1": "195327630152c3ddfa40937b8fe70c6d755117b98447e4c07374823cd6805f45",
+    "fig2": "47fb73512c194e0c64fe5e8502860375afc91d62f744a2c730a7d8e7333c45ef",
     "fig3": "94a40e559373d4d9b27824f39d23272421acb17cce4c82086db680715c67c440",
-    "fig4a": "800b8f09772c4484923111cda2a334089bfa43fa431dd0635d9ab7fb9ed7f930",
-    "fig4b": "1999018fca5dd36bcb91c1e2f832506c28dcf4f83c09631e11f0086f7a12e10b",
-    "fig5a": "def31301c0a3a4963662e575c21886f5079798e138b7d7c21f7d0a27ffbdb322",
-    "fig5b": "5809b74728cf8fdfc300b022e956882108673bf66ef0c3146acd1ea7ca6ee6aa",
-    "fig6a": "8836e329823f913c3ae4da4d644e4c7c5f28fa286842e442828744895c06fe80",
-    "fig6b": "ad0a4f3a916aa747554a063c2bf0df0873e6a2aa7e79cc93d8ac5e62ece9b9f5",
-    "fig6c": "5b5fc5ec29bb645dd88663cf15e6875bbc7e0fdc4c2d6c70f1f22d9818fb4b30",
-    "fig6d": "34a746a8423a4a871d325f01b3e45a70aea880d40b14a8acd9fdb71f2f1b387f",
-    "custom": "0a99d94b03ce2e98a7645206043db06943d9eb12764d0561277bde03a14895da",
+    "fig4a": "0fca4a621771d2a239f1e7de65fbd9c5dbdbcf5933e4f8d36e3b42c9c64cd85b",
+    "fig4b": "5bbde63ae33fea897cbaf9f2fbd55c3e0b1fc069d02e8dbf756025a3d726b9fe",
+    "fig5a": "d4a1c75d71326c8aff68093a2ea488a1e715563cd3c7d197328e3047e16099b3",
+    "fig5b": "dcbe4ed4e72d9214960fb13d49499dffad158b0b8fbbdafdf00e8c96b9521805",
+    "fig6a": "f5de8c18c41b5cbefec88504b6a69e467a33cb5e6889ca532a25d07cd403a963",
+    "fig6b": "b400f536ec7c55a49f579e5298931423e25ccfa6c6fa4c4c21e62e9e58641041",
+    "fig6c": "14e3487306c9b024ea8336170948f5d4d300d4fca5a8f62693a74edc09812a1d",
+    "fig6d": "db3b50ff9070c5ea9972b48e6d87dcd8be81e971e7c49d52f8db9acf75ec7f5e",
+    "custom": "1a934f3f480b1c4e96dffd364f80f0c09cd5202f4c77f496475f34b46bd6c817",
 }
 
 
@@ -418,4 +421,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "03bf73948de29a6f66d4a441c0ba94334031d689c883ebf3e583cb70cdca2019")
+        "8bbc758c597607e0910f0462424dacd60dfe8164d533c3714fbdf3133b0911ef")

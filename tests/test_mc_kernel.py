@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (complex_gaussian, diag_channel, einsum_best_quotients,
-                     random_channel, random_full_rank, rvq_codebooks,
-                     selected_gains)
+from helpers import (codeword_basis, complex_gaussian, diag_channel,
+                     einsum_best_quotients, random_channel, random_full_rank,
+                     rvq_codebooks, selected_gains)
 from rvqlab.channel import KroneckerModel
-from rvqlab import codebook
 from rvqlab import loss as loss_module
 from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
@@ -20,25 +19,29 @@ from rvqlab.skew import SkewMatrix, delta1_sk_mc
 
 
 class _RecordingStream:
-    """Stream proxy that logs the shape of every Gaussian draw."""
+    """Stream proxy that logs the method and shape of every draw."""
 
-    def __init__(self, stream, shapes):
-        self.stream, self.shapes = stream, shapes
+    def __init__(self, stream, draws):
+        self.stream, self.draws = stream, draws
 
     def derive(self, key):
-        return _RecordingStream(self.stream.derive(key), self.shapes)
+        return _RecordingStream(self.stream.derive(key), self.draws)
 
     def generator(self):
-        return _RecordingGenerator(self.stream.generator(), self.shapes)
+        return _RecordingGenerator(self.stream.generator(), self.draws)
 
 
 class _RecordingGenerator:
-    def __init__(self, gen, shapes):
-        self.gen, self.shapes = gen, shapes
+    def __init__(self, gen, draws):
+        self.gen, self.draws = gen, draws
 
     def standard_normal(self, shape):
-        self.shapes.append(shape)
+        self.draws.append(("standard_normal", shape))
         return self.gen.standard_normal(shape)
+
+    def standard_exponential(self, shape):
+        self.draws.append(("standard_exponential", shape))
+        return self.gen.standard_exponential(shape)
 
 
 def _quotient_pairs(n):
@@ -49,22 +52,24 @@ def _quotient_pairs(n):
     return [(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)]
 
 
-def test_sliced_codebooks_equal_one_unsliced_draw(monkeypatch):
+def test_codebooks_are_drawn_in_slices():
     bits, n_codebooks = 17, 2
     for n in (2, 3, 4):
         pairs = _quotient_pairs(n)
         stream = RngStream(9).derive(f"sliced{n}")
-        shapes = []
-        got = best_quotients(pairs, bits, n_codebooks,
-                             _RecordingStream(stream, shapes))
-        # each codebook is larger than the block, so it is drawn in slices
-        assert len(shapes) > n_codebooks
-        assert all(s[1] < 1 << bits for s in shapes)
-        # a block of n * 2**bits doubles holds one whole codebook per chunk
-        with monkeypatch.context() as patch:
-            patch.setattr(codebook, "_MC_BLOCK", n << bits)
-            np.testing.assert_array_equal(
-                got, best_quotients(pairs, bits, n_codebooks, stream))
+        # plain RVQ with a skew, then plain RVQ alone: it draws no normals
+        for call, kinds in ((pairs, {"standard_exponential", "standard_normal"}),
+                            (pairs[:1], {"standard_exponential"})):
+            draws = []
+            got = best_quotients(call, bits, n_codebooks,
+                                 _RecordingStream(stream, draws))
+            assert {kind for kind, _ in draws} == kinds
+            # each codebook is larger than the block, so it is drawn in slices
+            assert sum(kind == "standard_exponential" for kind, _ in draws) > n_codebooks
+            assert all(shape[-1] < 1 << bits for _, shape in draws)
+            np.testing.assert_allclose(
+                got, einsum_best_quotients(call, bits, n_codebooks, stream),
+                rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -77,7 +82,8 @@ def test_kernel_equals_explicit_rvq_codebooks(n):
     for bits in range(7):
         stream = RngStream(21).derive(f"kernel{n}/{bits}")
         got = best_quotients(pairs, bits, 64, stream)
-        want = [selected_gains(rvq_codebooks(stream, bits, n, 64, skew), gram)
+        u = codeword_basis(pairs)
+        want = [selected_gains(rvq_codebooks(stream, bits, u, 64, skew), gram)
                 for skew in (None, a)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 

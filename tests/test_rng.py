@@ -55,10 +55,15 @@ def test_stream_validation():
 
 def _first_coordinate_mass(dim, n_draws, stream, u=None):
     """|(u f)_1|^2 / |f|^2 of the Monte Carlo kernel's isotropic draws f,
-    as one-codeword best quotients."""
-    e1 = np.eye(dim)[0] if u is None else u[0]
-    proj = np.outer(e1.conj(), e1)
-    return best_quotients([(proj, None)], 0, n_draws, stream)[0]
+    as one-codeword best quotients of the unitary skew u (the identity by
+    default) on the projector e1 e1'.  A skewed row reads the codewords'
+    phases as well as their weights; a plain row would read the weights on
+    the projector's eigenbasis alone, whatever u is."""
+    a = np.eye(dim) if u is None else u
+    proj = np.zeros((dim, dim))
+    proj[0, 0] = 1.0
+    pair = (a.conj().T @ proj @ a, a.conj().T @ a)
+    return best_quotients([pair], 0, n_draws, stream)[0]
 
 
 def test_coordinate_mass_exchangeable():
