@@ -30,44 +30,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitian_eig
 from .rng import RngStream
 from .wnorm import draw_weighted_norms
 
 _MC_BLOCK = 1 << 16
 
 
-def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream,
-                   lam=None) -> np.ndarray:
-    """Monte Carlo kernel: the (K, n_codebooks) array of best quotients.
+def best_quotients(lam, pairs, bits: int, n_codebooks: int,
+                   stream: RngStream) -> np.ndarray:
+    """Monte Carlo kernel: the (len(pairs), n_codebooks) array of best quotients.
 
-    Every codebook holds 2^bits complex Gaussian codewords f shared by the K
-    (M, N) pairs; row k holds each codebook's max of (f'Mf)/(f'Nf), where
-    N = None means the plain norm f'f.  Every plain pair carries the one
-    Gram G (I when there is none), and the codewords are drawn on its
-    eigenbasis.  Given lam, the pairs are already written on that basis and
-    G = diag(lam); otherwise G is decomposed here and the skewed pairs are
-    rotated onto its eigenbasis.  Chunk c draws from stream.derive(c), so
-    values do not depend on the worker layout.  A codebook larger than the
-    block is drawn in codeword slices from the same generators, coordinate
-    by coordinate, so memory stays bounded at any bits, and the values
-    depend on the fixed slice width.
+    Every codebook holds 2^bits complex Gaussian codewords f, drawn on the
+    eigenbasis of a Gram G = U diag(lam) U' (lam descending) and shared by
+    every row.  pairs[k] None is plain RVQ on G: row k holds each codebook's
+    max of f'Gf / f'f.  A pair (M, N), written on the eigenbasis as
+    (U'MU, U'NU), gives the max of (f'Mf)/(f'Nf) instead.  Chunk c draws from
+    stream.derive(c), so values do not depend on the worker layout.  A
+    codebook larger than the block is drawn in codeword slices from the same
+    generators, coordinate by coordinate, so memory stays bounded at any
+    bits, and the values depend on the fixed slice width.
     """
+    lam = np.asarray(lam, dtype=float)
     m = 1 << bits
-    n = pairs[0][0].shape[0]
+    n = lam.size
     per_chunk = max(1, _MC_BLOCK // (m * n))
     step = max(1, _MC_BLOCK // n)
-    skews = [pair for pair in pairs if pair[1] is not None]
+    skews = [pair for pair in pairs if pair is not None]
     s = len(skews)
-    u = None
-    if lam is None:
-        eig = hermitian_eig(next((mm for mm, nn in pairs if nn is None), np.eye(n)))
-        lam, u = eig.values, eig.vectors
-    if s:  # skewed numerators, then their denominators, on the eigenbasis
+    if s:  # skewed numerators, then their denominators
         mats = np.array([mm for mm, _ in skews] + [nn for _, nn in skews],
                         dtype=complex)
-        if u is not None:
-            mats = u.conj().T @ mats @ u
         re, im = mats.real, mats.imag  # the embeddings E, stacked as rows of emb
         emb = np.concatenate([np.concatenate([re, -im], 2),
                               np.concatenate([im, re], 2)], 1).reshape(-1, 2 * n)
@@ -102,5 +94,5 @@ def best_quotients(pairs, bits: int, n_codebooks: int, stream: RngStream,
                 np.multiply(y, x, out=y).sum(axis=1, out=forms[lo_k:hi])
             np.divide(forms[:s], forms[s:], out=forms[:s])
             np.maximum(out[:s], forms[:s].reshape(s, take, -1).max(axis=2), out=out[:s])
-    skewed = np.array([nn is not None for _, nn in pairs])
+    skewed = np.array([pair is not None for pair in pairs])
     return best[np.where(skewed, skewed.cumsum() - 1, s)]

@@ -34,8 +34,9 @@ from .wnorm import WeightedNormLaw, cdf
 MAX_CLOSED_FORM_BITS = 20
 GAP_RTOL = 1e-9
 _LN2 = math.log(2.0)
-# complex entries one block of channels may stack, counted as every H and G
-# and one n x n matrix per skew (B = AU, B'GB and B'B take a few times that)
+# complex entries one block of channels may stack: every H and G and, when a
+# skew is present, every U and five n x n matrices per skew (B = AU, its
+# conjugate transpose, B'G, B'GB and B'B)
 _STACK_ENTRIES = 1 << 20
 
 
@@ -440,9 +441,10 @@ def _loss_samples(grams: np.ndarray, spectra: np.ndarray, skews, bits: int,
     """Yield, per Gram of a stack, the (len(skews), n_codebooks) losses of
     fresh codebooks on shared codewords from that Gram's stream, drawn on its
     eigenbasis.  The spectra (descending) are the plain rows' whether or not
-    skews are present; the eigenvectors U come from one stacked solve, taken
-    only when a skew needs them, and every skew's pairs (B'GB, B'B), B = AU,
-    from stacked products over the skews and Grams."""
+    skews are present.  Only a skew needs the eigenvectors U: they come from
+    one stacked solve, their columns reversed to the spectra's descending
+    order, and every skew's pair (B'GB, B'B), B = AU, from stacked products
+    over the skews and Grams."""
     if any(a is not None and a.shape != grams.shape[1:] for a in skews):
         raise ValueError("skew and channel dimensions disagree")
     if (spectra[:, 0] <= 0).any():
@@ -454,9 +456,9 @@ def _loss_samples(grams: np.ndarray, spectra: np.ndarray, skews, bits: int,
         nums, dens = bh @ grams @ b, bh @ b
     at = np.cumsum([a is not None for a in skews]) - 1  # index among matrices
     for j, (lam, stream) in enumerate(zip(spectra, streams)):
-        pairs = [(grams[j], None) if a is None else (nums[i, j], dens[i, j])
+        pairs = [None if a is None else (nums[i, j], dens[i, j])
                  for a, i in zip(skews, at)]
-        best = best_quotients(pairs, bits, n_codebooks, stream, lam)
+        best = best_quotients(lam, pairs, bits, n_codebooks, stream)
         top = lam[0]
         if rho is None:
             yield (top - best) / top
@@ -492,7 +494,8 @@ def channel_averaged_losses(model: ChannelModel, skews, bits: int,
     """
     _check_sampling(bits, rho, n_channels, "channel draws")
     n = model.n_t
-    block = max(1, _STACK_ENTRIES // (n * (model.n_r + n * (len(skews) + 1))))
+    s = sum(a is not None for a in skews)
+    block = max(1, _STACK_ENTRIES // (n * (model.n_r + n * (2 + 5 * s if s else 1))))
     means = []
     for lo in range(0, n_channels, block):
         subs = [stream.derive(i) for i in range(lo, min(lo + block, n_channels))]

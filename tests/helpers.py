@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 
 from rvqlab.channel import ChannelRealization
+from rvqlab.codebook import best_quotients
 from rvqlab.linalg import hermitian_eig
 
 
@@ -32,11 +33,23 @@ def diag_channel(lam):
 
 
 def codeword_basis(pairs):
-    """The basis U of the kernel's codewords f = U g for these pairs when it
-    is given no spectrum: the eigenvectors, descending, of the first plain
-    pair's Gram, or of the identity when there is none."""
-    n = pairs[0][0].shape[0]
-    return hermitian_eig(next((mm for mm, nn in pairs if nn is None), np.eye(n))).vectors
+    """The eigen-decomposition, descending, of the Gram G on whose eigenbasis
+    the codewords of pairs written on the standard basis are drawn: every
+    plain pair (G, None) carries the one G, or there is none and G = I."""
+    grams = [mm for mm, nn in pairs if nn is None]
+    assert all(np.array_equal(g, grams[0]) for g in grams)
+    return hermitian_eig(grams[0] if grams else np.eye(pairs[0][0].shape[0]))
+
+
+def standard_basis_quotients(pairs, bits, n_codebooks, stream):
+    """``codebook.best_quotients`` of pairs written on the standard basis,
+    called as ``loss`` calls it: on the spectrum of ``codeword_basis``, with
+    plain pairs as None and every skewed pair (M, N) as (U'MU, U'NU)."""
+    eig = codeword_basis(pairs)
+    u, uh = eig.vectors, eig.vectors.conj().T
+    rows = [None if nn is None else (uh @ mm @ u, uh @ nn @ u)
+            for mm, nn in pairs]
+    return best_quotients(eig.values, rows, bits, n_codebooks, stream)
 
 
 def chunk_generators(stream, chunk):
@@ -83,15 +96,15 @@ def einsum_best_quotients(pairs, bits, n_codebooks, stream):
     """The Monte Carlo kernel as complex einsums, an independent reference.
 
     Same chunks, streams, codeword slices and basis as
-    ``codebook.best_quotients`` given no spectrum, with explicit
-    codewords f = U g; each quadratic form is
+    ``standard_basis_quotients``, with explicit codewords f = U g; each
+    quadratic form is
     ``einsum("cki,ij,ckj->ck", conj(f), M, f).real`` and the plain norm
     ``einsum("cki,cki->ck", conj(f), f).real``.
     """
     m, n, block = 1 << bits, pairs[0][0].shape[0], 1 << 16
     per_chunk = max(1, block // (m * n))
     step = max(1, block // n)
-    u = codeword_basis(pairs)
+    u = codeword_basis(pairs).vectors
     best = np.full((len(pairs), n_codebooks), -np.inf)
     for chunk, pos in enumerate(range(0, n_codebooks, per_chunk)):
         take = min(per_chunk, n_codebooks - pos)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from helpers import diag_channel, rvq_codebooks
+from helpers import diag_channel, rvq_codebooks, standard_basis_quotients
 from rvqlab.channel import ChannelRealization
-from rvqlab.codebook import best_quotients
 from rvqlab.rng import RngStream, sample_unitary
 from rvqlab.wnorm import WeightedNormLaw, cdf
 
@@ -19,7 +18,7 @@ def _stream(name):
 
 
 def _best_gains(gram, bits, n_codebooks, name):
-    return best_quotients([(gram, None)], bits, n_codebooks, _stream(name))[0]
+    return standard_basis_quotients([(gram, None)], bits, n_codebooks, _stream(name))[0]
 
 
 def test_generate_shapes():
@@ -44,7 +43,7 @@ def test_skew_identity_and_scale():
     gram = diag_channel([3.0, 2.0, 1.0]).gram
     pairs = [(gram, None)] + [(c * c * gram, c * c * np.eye(3))
                               for c in (1.0, 7.0)]
-    best = best_quotients(pairs, 2, 50, _stream("sk"))
+    best = standard_basis_quotients(pairs, 2, 50, _stream("sk"))
     np.testing.assert_allclose(best[1:], best[[0, 0]], rtol=1e-14)
 
 
@@ -103,6 +102,6 @@ def test_unitary_skew_quotient_law(n):
     gram = _rotated_gram(lam, f"skewlaw{n}")
     a = sample_unitary(n, _stream(f"skewlaw{n}/a").generator())
     pairs = [(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)]
-    quotients = best_quotients(pairs, 0, size, _stream(f"skewlaw{n}/q"))[1]
+    quotients = standard_basis_quotients(pairs, 0, size, _stream(f"skewlaw{n}/q"))[1]
     law = WeightedNormLaw(lam)
     assert kstest(quotients, lambda x: cdf(law, x)).statistic <= 1.63 / math.sqrt(size)

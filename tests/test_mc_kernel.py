@@ -7,10 +7,9 @@ import pytest
 
 from helpers import (codeword_basis, complex_gaussian, diag_channel,
                      einsum_best_quotients, random_channel, random_full_rank,
-                     rvq_codebooks, selected_gains)
+                     rvq_codebooks, selected_gains, standard_basis_quotients)
 from rvqlab.channel import KroneckerModel
 from rvqlab import loss as loss_module
-from rvqlab.codebook import best_quotients
 from rvqlab.harness import skew_candidates_avg
 from rvqlab.loss import (avg_delta_snr, channel_averaged_losses, delta1_exact,
                          delta1_mc, sampled_losses)
@@ -61,7 +60,7 @@ def test_codebooks_are_drawn_in_slices():
         for call, kinds in ((pairs, {"standard_exponential", "standard_normal"}),
                             (pairs[:1], {"standard_exponential"})):
             draws = []
-            got = best_quotients(call, bits, n_codebooks,
+            got = standard_basis_quotients(call, bits, n_codebooks,
                                  _RecordingStream(stream, draws))
             assert {kind for kind, _ in draws} == kinds
             # each codebook is larger than the block, so it is drawn in slices
@@ -81,8 +80,8 @@ def test_kernel_equals_explicit_rvq_codebooks(n):
     pairs = [(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)]
     for bits in range(7):
         stream = RngStream(21).derive(f"kernel{n}/{bits}")
-        got = best_quotients(pairs, bits, 64, stream)
-        u = codeword_basis(pairs)
+        got = standard_basis_quotients(pairs, bits, 64, stream)
+        u = codeword_basis(pairs).vectors
         want = [selected_gains(rvq_codebooks(stream, bits, u, 64, skew), gram)
                 for skew in (None, a)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -116,7 +115,7 @@ def test_kernel_equals_complex_einsum_bit_for_bit(n):
                 continue
             stream = RngStream(31).derive(f"exact{n}/{k}/{bits}")
             np.testing.assert_allclose(
-                best_quotients(pairs, bits, n_codebooks, stream),
+                standard_basis_quotients(pairs, bits, n_codebooks, stream),
                 einsum_best_quotients(pairs, bits, n_codebooks, stream),
                 rtol=1e-13)
 
@@ -126,7 +125,7 @@ def test_sliced_kernel_equals_complex_einsum_bit_for_bit():
     for k in (1, 8):
         pairs = _mixed_pairs(4, k, 37)
         stream = RngStream(37).derive(f"sliced{k}")
-        np.testing.assert_allclose(best_quotients(pairs, 15, 2, stream),
+        np.testing.assert_allclose(standard_basis_quotients(pairs, 15, 2, stream),
                                    einsum_best_quotients(pairs, 15, 2, stream),
                                    rtol=1e-13)
 
@@ -174,7 +173,7 @@ def test_channel_blocks_keep_every_value(monkeypatch):
         want = channel_averaged_losses(model, [None, a], 3, 7, 20, stream, rho)
         with monkeypatch.context() as patch:
             # one channel per block, then blocks of 3, 3 and 1 channels
-            for entries in (1, 3 * 4 * (3 + 4 * 3)):
+            for entries in (1, 3 * 4 * (3 + 4 * 7)):
                 patch.setattr(loss_module, "_STACK_ENTRIES", entries)
                 got = channel_averaged_losses(model, [None, a], 3, 7, 20, stream, rho)
                 np.testing.assert_array_equal(_pairs_of(got), _pairs_of(want))
@@ -201,7 +200,7 @@ def test_stacked_kernel_memory_is_bounded():
                               for a in skews]
     tracemalloc.start()
     try:
-        best_quotients(pairs, 12, 4, RngStream(43).derive("stack memory"))
+        standard_basis_quotients(pairs, 12, 4, RngStream(43).derive("stack memory"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from rvqlab.codebook import best_quotients
+from helpers import standard_basis_quotients
 from rvqlab.rng import MASK64, RngStream, mix_label, sample_unitary, splitmix64
 
 
@@ -63,7 +63,7 @@ def _first_coordinate_mass(dim, n_draws, stream, u=None):
     proj = np.zeros((dim, dim))
     proj[0, 0] = 1.0
     pair = (a.conj().T @ proj @ a, a.conj().T @ a)
-    return best_quotients([pair], 0, n_draws, stream)[0]
+    return standard_basis_quotients([pair], 0, n_draws, stream)[0]
 
 
 def test_coordinate_mass_exchangeable():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
 
-from helpers import diag_channel, random_channel, random_full_rank
+from helpers import (diag_channel, random_channel, random_full_rank,
+                     standard_basis_quotients)
 from rvqlab import skew as skew_module
 from rvqlab.channel import FixedSpectrumModel, sample_channel
-from rvqlab.codebook import best_quotients
 from rvqlab.errors import (DegenerateSpectrumError, SingularCovarianceError,
                            SingularSkewError, UnsupportedModelError)
 from rvqlab.harness import _FIG6_MODEL
@@ -64,7 +64,7 @@ def _one_codeword_quotients(ch, a, n_samples, stream):
     """(f'A'GAf)/(f'A'Af) of isotropic directions f: the best quotients of
     one-codeword codebooks."""
     pair = (a.conj().T @ ch.gram @ a, a.conj().T @ a)
-    return best_quotients([pair], 0, n_samples, stream)[0]
+    return standard_basis_quotients([pair], 0, n_samples, stream)[0]
 
 
 def test_quotients_of_identity_stay_in_support():
