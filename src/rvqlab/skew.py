@@ -9,6 +9,8 @@ exact integral through the eigenvalues of the pencil M - xN.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -301,45 +303,63 @@ def _n_params(dim: int) -> int:
 
 
 def _unitary_from_angles(dim: int, angles: np.ndarray) -> np.ndarray:
-    u = np.eye(dim, dtype=complex)
-    idx = 0
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            th, ph = angles[idx], angles[idx + 1]
-            idx += 2
-            c, s = math.cos(th), math.sin(th)
-            rot = np.eye(dim, dtype=complex)
-            rot[i, i] = c
-            rot[j, j] = c
-            rot[i, j] = -s * np.exp(1j * ph)
-            rot[j, i] = s * np.exp(-1j * ph)
-            u = rot @ u
-    return u
+    """Product of one Givens rotation per index pair i < j, in order, each
+    applied on the left: rows i and j are rotated by angle th with phase ph,
+    from the flat (th, ph) pairs of angles."""
+    u = np.eye(dim, dtype=complex).tolist()
+    pairs = itertools.combinations(range(dim), 2)
+    for (i, j), th, ph in zip(pairs, angles[0::2], angles[1::2]):
+        c, s = math.cos(th), math.sin(th)
+        e = cmath.exp(1j * ph)
+        a, b = -s * e, s * e.conjugate()
+        ui, uj = u[i], u[j]
+        u[i] = [c * x + a * y for x, y in zip(ui, uj)]
+        u[j] = [b * x + c * y for x, y in zip(ui, uj)]
+    return np.array(u)
+
+
+def _left_factor(dim: int, params: np.ndarray) -> np.ndarray:
+    """P = Q diag(d) of a candidate base P R'."""
+    npair = dim * (dim - 1)
+    return _unitary_from_angles(dim, params[:npair]) * np.exp(
+        np.clip(params[2 * npair:], -20.0, 20.0))
 
 
 def _candidate(dim: int, base: np.ndarray, params: np.ndarray) -> np.ndarray:
     npair = dim * (dim - 1)
-    q = _unitary_from_angles(dim, params[:npair])
     r = _unitary_from_angles(dim, params[npair:2 * npair])
-    d = np.exp(np.clip(params[2 * npair:], -20.0, 20.0))
-    return base @ (q * d) @ r.conj().T
+    return base @ _left_factor(dim, params) @ r.conj().T
 
 
-def _skew_objective(grams, tops, alpha: float):
-    """Search objective a -> alpha E[m1] + (1-alpha) E[m2] over the design
-    channels (Gram matrices, top eigenvalues), from one stacked eigen-solve.
-    Terms add in channel order; a non-positive spectrum or a non-finite value
-    scores 1e9."""
-    stack = np.stack(grams)
+def _skew_objective(base, grams, tops, alpha: float):
+    """Search objective params -> alpha E[m1] + (1-alpha) E[m2] of the
+    candidates A = base P R' over the design channels (Gram matrices, top
+    eigenvalues).
+
+    R is unitary, so A'A and A'GA are unitarily similar to P'(B'B)P and
+    P'(B'GB)P with B = base: m1 and m2 read only eigenvalues, and R drops
+    out.  The stack S = [B'B; B'G_1B; ...] is formed once, laid out so that
+    P'SP is two GEMMs, and every evaluation is one stacked eigen-solve whose
+    row 0 is the spectrum of A'A.  Terms add in channel order; a
+    non-positive spectrum or a non-finite value scores 1e9.
+    """
+    dim = base.shape[0]
+    bh = base.conj().T
+    stack = np.concatenate([(bh @ base)[None], bh @ np.asarray(grams) @ base])
+    # rows (i, k): row i of S_k, so S P is one GEMM and lays out [S_k P]_k
+    # side by side for P' to multiply in one more
+    rows = stack.transpose(1, 0, 2).reshape(-1, dim)
     tops = np.asarray(tops)
 
-    def objective_of(a):
-        ah = a.conj().T
+    def objective_of(params):
+        p = _left_factor(dim, params)
+        sp = (rows @ p).reshape(dim, -1)
+        psp = (p.conj().T @ sp).reshape(dim, -1, dim).swapaxes(0, 1)
         try:
-            top_a = float(hermitian_eig(ah @ a, vectors=False).values[0])
+            vals = hermitian_eig(psp, vectors=False).values
         except (ValueError, np.linalg.LinAlgError):
             return 1e9
-        mu = hermitian_eig(ah @ stack @ a, vectors=False).values
+        top_a, mu = vals[0, 0], vals[1:]
         if (mu[:, -1] <= 0).any() or top_a <= 0 or (tops <= 0).any():
             return 1e9
         m1 = 1.0 - mu[:, 0] / (top_a * tops)
@@ -357,8 +377,11 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     Candidates are base Q diag(d) R' with Givens-parameterized unitary
     factors; simplex descent from 8 restarts (identity, covariance-aligned,
     inverse-root, and random bases) shares one set of channel draws so
-    comparisons are noise-free.  Budget counts objective evaluations; the
-    best candidate found is returned once it runs out.
+    comparisons are noise-free.  The objective reads only spectra, which R
+    leaves alone, so it skips R; the returned skew carries it.  Budget
+    counts objective evaluations and is never exceeded: a budget below 8
+    runs that many restarts.  The best candidate found is returned once it
+    runs out.
     """
     from scipy.optimize import minimize
 
@@ -372,7 +395,6 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     grams, spectra = sample_grams(model, [stream.derive("channels").generator()] * n_channels)
     dim = grams.shape[1]
     mean_gram = sum(grams) / len(grams)
-    objective_of = _skew_objective(grams, spectra[:, 0], alpha)
     eig_mean = hermitian_eig(mean_gram)
     es = hermitian_eig(transmit_covariance(model).sigma_t)
     sv = np.clip(es.values, 1e-12 * max(es.values[0], 1e-300), None)
@@ -385,14 +407,16 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
         bases.append((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
 
     k = _n_params(dim)
-    per_restart = max(1, budget // len(bases))
+    bases = bases[:budget]
+    per_restart = budget // len(bases)
     best = None
     evals = 0
     for ridx, base in enumerate(bases):
+        objective_of = _skew_objective(base, grams, spectra[:, 0], alpha)
         values = []
 
-        def fun(p, base=base, values=values):
-            values.append(objective_of(_candidate(dim, base, p)))
+        def fun(p, objective_of=objective_of, values=values):
+            values.append(objective_of(p))
             return values[-1]
 
         res = minimize(fun, np.zeros(k), method="Nelder-Mead",

@@ -1,5 +1,7 @@
 """Shared constructors for the test suite."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -120,6 +122,49 @@ def einsum_best_quotients(pairs, bits, n_codebooks, stream):
                     "cki,ij,ckj->ck", fc, nn, f).real
                 np.maximum(out[k], (num / den).max(axis=1), out=out[k])
     return best
+
+
+def loop_skew_objective(grams, tops, alpha):
+    """alpha E[m1] + (1-alpha) E[m2] of a whole candidate A, from the
+    eigenvalues of A'A and of each A'GA in turn, summed in a Python loop: the
+    reference for the search objective, which reads the same spectra through
+    the left factor of A alone."""
+    def objective_of(a):
+        try:
+            top_a = float(hermitian_eig(a.conj().T @ a, vectors=False).values[0])
+        except (ValueError, np.linalg.LinAlgError):
+            return 1e9
+        acc = 0.0
+        for g, top_g in zip(grams, tops):
+            mu = hermitian_eig(a.conj().T @ g @ a, vectors=False).values
+            if mu[-1] <= 0 or top_a <= 0 or top_g <= 0:
+                return 1e9
+            m1 = 1.0 - mu[0] / (top_a * top_g)
+            m2 = mu[0] / mu[-1]
+            acc += alpha * m1 + (1.0 - alpha) * m2
+        val = acc / len(grams)
+        return val if math.isfinite(val) else 1e9
+    return objective_of
+
+
+def eye_product_unitary(dim, angles):
+    """The search's Givens unitary as a product of full rotation matrices,
+    one np.eye per index pair i < j in order, each multiplied in on the left:
+    the reference for the row-rotating builder."""
+    u = np.eye(dim, dtype=complex)
+    idx = 0
+    for i in range(dim - 1):
+        for j in range(i + 1, dim):
+            th, ph = angles[idx], angles[idx + 1]
+            idx += 2
+            c, s = math.cos(th), math.sin(th)
+            rot = np.eye(dim, dtype=complex)
+            rot[i, i] = c
+            rot[j, j] = c
+            rot[i, j] = -s * np.exp(1j * ph)
+            rot[j, i] = s * np.exp(-1j * ph)
+            u = rot @ u
+    return u
 
 
 def worst_relative_error(name, pairs):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
 
-from helpers import (diag_channel, random_channel, random_full_rank,
-                     standard_basis_quotients)
+from helpers import (diag_channel, eye_product_unitary, loop_skew_objective,
+                     random_channel, random_full_rank, standard_basis_quotients)
 from rvqlab import skew as skew_module
-from rvqlab.channel import FixedSpectrumModel, sample_channel
+from rvqlab.channel import FixedSpectrumModel, sample_channel, sample_grams
 from rvqlab.errors import (DegenerateSpectrumError, SingularCovarianceError,
                            SingularSkewError, UnsupportedModelError)
 from rvqlab.harness import _FIG6_MODEL
@@ -369,83 +369,130 @@ def test_search_guards():
 # the search objective against a per-channel reference loop
 
 
-def _loop_objective(grams, tops, alpha):
-    """alpha E[m1] + (1-alpha) E[m2] from one eigen-solve per channel, summed
-    in a Python loop: the reference the stacked objective must equal."""
-    def objective_of(a):
-        try:
-            top_a = float(hermitian_eig(a.conj().T @ a, vectors=False).values[0])
-        except (ValueError, np.linalg.LinAlgError):
-            return 1e9
-        acc = 0.0
-        for g, top_g in zip(grams, tops):
-            mu = hermitian_eig(a.conj().T @ g @ a, vectors=False).values
-            if mu[-1] <= 0 or top_a <= 0 or top_g <= 0:
-                return 1e9
-            m1 = 1.0 - mu[0] / (top_a * top_g)
-            m2 = mu[0] / mu[-1]
-            acc += alpha * m1 + (1.0 - alpha) * m2
-        val = acc / len(grams)
-        return val if math.isfinite(val) else 1e9
-    return objective_of
-
-
 def _design_channels(model, n):
     gen = _gen("design")
     chans = [sample_channel(model, gen) for _ in range(n)]
     return [c.gram for c in chans], [c.spectrum[0] for c in chans]
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-def test_objective_equals_the_loop_bit_for_bit(alpha):
+_NPAIR = 4 * 3  # Givens angles per unitary factor at n = 4
+
+
+def test_objective_ignores_the_right_factor():
     grams, tops = _design_channels(_FIG6_MODEL, 64)
-    stacked = skew_module._skew_objective(grams, tops, alpha)
-    loop = _loop_objective(grams, tops, alpha)
+    rng = np.random.default_rng(5)
+    for alpha in (0.0, 0.3, 1.0):
+        base = random_full_rank(rng, 4)
+        objective_of = skew_module._skew_objective(base, grams, tops, alpha)
+        p = rng.standard_normal(skew_module._n_params(4))
+        want = objective_of(p)
+        for _ in range(5):
+            p[_NPAIR:2 * _NPAIR] = rng.standard_normal(_NPAIR) * 3.0
+            assert objective_of(p) == want
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_objective_matches_the_loop(alpha):
+    # eigenvalues from two similar matrices differ by a few eps times the
+    # largest one, so each m2 = mu1/mun by a few eps times its square: the
+    # bound is 8 eps times the largest spread over the design channels
+    grams, tops = _design_channels(_FIG6_MODEL, 64)
+    loop = loop_skew_objective(grams, tops, alpha)
     rng = np.random.default_rng(11)
-    guarded = 0
-    for i in range(120):
-        # parameter scales from the search's start to the clip of exp(+-20)
-        p = rng.standard_normal(skew_module._n_params(4)) * (0.1, 1.0, 30.0)[i % 3]
-        a = skew_module._candidate(4, random_full_rank(rng, 4), p)
-        if i % 4 == 0:
-            a[:, 0] = 0.0  # rank deficient: mu[-1] is zero or round-off
-        got, want = stacked(a), loop(a)
-        assert got == want and type(got) is type(want)
-        guarded += want == 1e9
-    assert 0 < guarded < 120
+    eps = np.finfo(float).eps
+    for i in range(60):
+        base = random_full_rank(rng, 4)
+        p = rng.standard_normal(skew_module._n_params(4)) * (0.1, 1.0)[i % 2]
+        a = skew_module._candidate(4, base, p)
+        mu = np.linalg.eigvalsh(a.conj().T @ np.stack(grams) @ a)
+        spread = (mu[:, -1] / mu[:, 0]).max()
+        got = skew_module._skew_objective(base, grams, tops, alpha)(p)
+        want = loop(a)
+        assert want != 1e9
+        assert abs(got - want) <= 8.0 * eps * spread * abs(want)
 
 
-def _search_against_loop(monkeypatch, model, alpha, n_channels, stream, budget):
-    got = optimize_skew_a1(model, alpha, n_channels, stream, budget)
-    evals = [0]
+def test_objective_scores_a_rank_deficient_candidate_1e9():
+    # the base drops column 0 and no Givens angle of Q touches index 0, so
+    # column 0 of A stays exactly zero: every spectrum ends in an exact 0
+    grams, tops = _design_channels(_FIG6_MODEL, 64)
+    rng = np.random.default_rng(13)
+    for alpha in (0.0, 0.5, 1.0):
+        base = random_full_rank(rng, 4)
+        base[:, 0] = 0.0
+        objective_of = skew_module._skew_objective(base, grams, tops, alpha)
+        for _ in range(5):
+            p = rng.standard_normal(skew_module._n_params(4))
+            p[:6] = 0.0  # the pairs (0, 1), (0, 2), (0, 3)
+            assert objective_of(p) == 1e9
+            assert loop_skew_objective(grams, tops, alpha)(
+                skew_module._candidate(4, base, p)) == 1e9
 
-    def counted_loop(grams, tops, alpha):
-        objective_of = _loop_objective(grams, tops, alpha)
 
-        def counted(a):
-            evals[0] += 1
-            return objective_of(a)
-        return counted
+def test_givens_unitary_is_identity_at_zero_angles():
+    for dim in (2, 3, 4):
+        u = skew_module._unitary_from_angles(dim, np.zeros(dim * (dim - 1)))
+        np.testing.assert_array_equal(u, np.eye(dim))
 
-    with monkeypatch.context() as m:
-        m.setattr(skew_module, "_skew_objective", counted_loop)
-        want = optimize_skew_a1(model, alpha, n_channels, stream, budget)
-    assert evals[0] == want.n_evals
-    assert got.objective == want.objective
-    assert type(got.objective) is type(want.objective)
-    assert got.n_evals == want.n_evals
-    np.testing.assert_array_equal(got.skew.a, want.skew.a)
+
+def test_givens_unitary_matches_the_eye_product():
+    rng = np.random.default_rng(17)
+    for i in range(300):
+        dim = (2, 3, 4)[i % 3]
+        angles = rng.standard_normal(dim * (dim - 1)) * (0.1, 1.0, 30.0)[i % 3]
+        u = skew_module._unitary_from_angles(dim, angles)
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-14
+        assert np.abs(u - eye_product_unitary(dim, angles)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("budget", [1, 3, 8, 30])
+def test_search_never_exceeds_its_budget(budget):
+    stream = RngStream(7).derive("fig6d-design").derive("alpha0.5")
+    res = optimize_skew_a1(_FIG6_MODEL, 0.5, 8, stream, budget)
+    assert 1 <= res.n_evals <= budget
+
+
+def test_search_takes_one_eigen_solve_per_evaluation(monkeypatch):
+    # set-up takes four: the mean Gram and the covariance, then the two
+    # spectra of the returned SkewMatrix
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return hermitian_eig(*args, **kwargs)
+
+    monkeypatch.setattr(skew_module, "hermitian_eig", counted)
+    for budget in (40, 120):
+        calls[0] = 0
+        stream = RngStream(7).derive("fig6d-design").derive("alpha0.5")
+        res = optimize_skew_a1(_FIG6_MODEL, 0.5, 64, stream, budget)
+        assert res.n_evals > 8
+        assert calls[0] <= res.n_evals + 4
+
+
+def _search_against_loop(model, alpha, n_channels, stream, budget):
+    """The search reports the reference loop's objective of the skew it
+    returns, within the tolerance of test_objective_matches_the_loop."""
+    res = optimize_skew_a1(model, alpha, n_channels, stream, budget)
+    grams, spectra = sample_grams(
+        model, [stream.derive("channels").generator()] * n_channels)
+    a = res.skew.a
+    want = loop_skew_objective(grams, spectra[:, 0], alpha)(a)
+    mu = np.linalg.eigvalsh(a.conj().T @ grams @ a)
+    spread = (mu[:, -1] / mu[:, 0]).max()
+    assert abs(res.objective - want) <= 8.0 * np.finfo(float).eps * spread * abs(want)
+    assert res.n_evals <= budget
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_search_matches_the_loop_on_the_fig6d_model(monkeypatch, alpha):
+def test_search_matches_the_loop_on_the_fig6d_model(alpha):
     stream = RngStream(7).derive("fig6d-design").derive(f"alpha{alpha}")
-    _search_against_loop(monkeypatch, _FIG6_MODEL, alpha, 64, stream, 120)
+    _search_against_loop(_FIG6_MODEL, alpha, 64, stream, 120)
 
 
 @pytest.mark.parametrize("lam", [[4.0, 3.0, 2.0, 1.0], [1.6, 1.4, 1.2, 1.0]])
-def test_search_matches_the_loop_on_a_frozen_channel(monkeypatch, lam):
+def test_search_matches_the_loop_on_a_frozen_channel(lam):
     model = FixedSpectrumModel(lam=np.array(lam), frozen=True)
     for alpha in (0.0, 0.5, 1.0):
         stream = RngStream(7).derive("fig6a-design").derive(f"alpha{alpha}")
-        _search_against_loop(monkeypatch, model, alpha, 1, stream, 160)
+        _search_against_loop(model, alpha, 1, stream, 160)
