@@ -381,11 +381,13 @@ _NPAIR = 4 * 3  # Givens angles per unitary factor at n = 4
 def test_objective_ignores_the_right_factor():
     grams, tops = _design_channels(_FIG6_MODEL, 64)
     rng = np.random.default_rng(5)
-    for alpha in (0.0, 0.3, 1.0):
+    # parameter scales from the search's start to the clip of exp(+-20)
+    for alpha, scale in ((0.0, 0.1), (0.3, 1.0), (1.0, 30.0)):
         base = random_full_rank(rng, 4)
         objective_of = skew_module._skew_objective(base, grams, tops, alpha)
-        p = rng.standard_normal(skew_module._n_params(4))
+        p = rng.standard_normal(skew_module._n_params(4)) * scale
         want = objective_of(p)
+        assert math.isfinite(want)
         for _ in range(5):
             p[_NPAIR:2 * _NPAIR] = rng.standard_normal(_NPAIR) * 3.0
             assert objective_of(p) == want
