@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import UnsupportedModelError
 from .linalg import check_spectrum, hermitian_eig
-from .rng import sample_unitary
+from .rng import haar_unitary
 
 UNITARY_TOL = 1e-8
 # cap on E[Tr H*H] that configs may ask for: sampled Grams and the codebook
@@ -123,14 +123,14 @@ class ChannelRealization:
         return self.h.shape[1]
 
 
-def _sample_matrix(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw one channel matrix H from the model."""
-    if isinstance(model, IIDModel):
-        g = rng.standard_normal((model.n_r, model.n_t, 2))
-        return (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
-    if isinstance(model, KroneckerModel):
-        g = rng.standard_normal((model.n_r, model.n_t, 2))
+def _sample_matrices(model: ChannelModel, rng: np.random.Generator, count: int):
+    """Draw a (count, n_r, n_t) stack of channel matrices H from the model;
+    a stacked draw fills as the same draws made one after another."""
+    if isinstance(model, (IIDModel, KroneckerModel)):
+        g = rng.standard_normal((count, model.n_r, model.n_t, 2))
         h = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
+        if isinstance(model, IIDModel):
+            return h
         h = np.sqrt(model.lambda_r)[:, None] * h * np.sqrt(model.lambda_t)[None, :]
         if model.u_r is not None:
             h = model.u_r @ h
@@ -141,24 +141,26 @@ def _sample_matrix(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
         n_t, n_r = model.n_t, model.n_r
         root = np.sqrt(model.lam)
         if model.frozen:
-            h = np.zeros((n_r, n_t), dtype=complex)
-            h[:n_t, :] = np.diag(root)
+            h = np.zeros((count, n_r, n_t), dtype=complex)
+            h[:, :n_t, :] = np.diag(root)
             return h
-        v = sample_unitary(n_r, rng)[:, :n_t]
-        w = sample_unitary(n_t, rng)
-        return v @ np.diag(root) @ w.conj().T
+        # each channel draws the normals of its v, then those of its w
+        g = rng.standard_normal((count, n_r * n_r + n_t * n_t, 2))
+        v = haar_unitary(g[:, :n_r * n_r].reshape(count, n_r, n_r, 2))[..., :n_t]
+        w = haar_unitary(g[:, n_r * n_r:].reshape(count, n_t, n_t, 2))
+        return v @ np.diag(root) @ w.conj().swapaxes(1, 2)
     raise UnsupportedModelError(f"unknown channel model {type(model)!r}")
 
 
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> ChannelRealization:
     """Draw one realization from the model."""
-    return ChannelRealization(_sample_matrix(model, rng))
+    return ChannelRealization(_sample_matrices(model, rng, 1)[0])
 
 
-def sample_grams(model: ChannelModel, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_channel``'s Grams H'H of one draw per generator, stacked, and
+def sample_grams(model: ChannelModel, gen: np.random.Generator, count: int):
+    """The Grams H'H of ``sample_channel``'s next count draws from gen, and
     their spectra (each descending) from one stacked eigenvalue solve."""
-    h = np.array([_sample_matrix(model, rng) for rng in rngs], dtype=complex)
+    h = _sample_matrices(model, gen, count)
     grams = h.conj().swapaxes(1, 2) @ h
     return grams, hermitian_eig(grams, vectors=False).values
 

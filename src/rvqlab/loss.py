@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .channel import ChannelRealization, ChannelModel, sample_grams
-from .codebook import best_quotients
+from .codebook import best_quotients, codeword_generators, group_width
 from .errors import (DegenerateSpectrumError, ResourceLimitError,
                      UnsupportedModelError)
 from .linalg import check_spectrum
@@ -437,33 +437,26 @@ def _check_sampling(bits: int, rho, n_draws: int, what: str):
 
 
 def _loss_samples(grams: np.ndarray, spectra: np.ndarray, skews, bits: int,
-                  n_codebooks: int, streams, rho):
-    """Yield, per Gram of a stack, the (len(skews), n_codebooks) losses of
-    fresh codebooks on shared codewords from that Gram's stream, drawn on its
-    eigenbasis.  The spectra (descending) are the plain rows' whether or not
-    skews are present.  Only a skew needs the eigenvectors U: they come from
-    one stacked solve, their columns reversed to the spectra's descending
-    order, and every skew's pair (B'GB, B'B), B = AU, from stacked products
-    over the skews and Grams."""
+                  n_codebooks: int, gens, rho) -> np.ndarray:
+    """The (c, len(skews), n_codebooks) losses of fresh codebooks on c Grams
+    and their descending spectra, from one kernel call.  A skew needs the
+    eigenvectors U, from one stacked solve with columns reversed to the
+    spectra's order, and stacked products give its (B'GB, B'B), B = AU."""
     if any(a is not None and a.shape != grams.shape[1:] for a in skews):
         raise ValueError("skew and channel dimensions disagree")
     if (spectra[:, 0] <= 0).any():
         raise ValueError("zero channel")
-    matrices = [a for a in skews if a is not None]
+    matrices, pairs = [a for a in skews if a is not None], iter(())
     if matrices:  # U, columns descending, and B = AU for every skew
         b = np.array(matrices)[:, None] @ np.linalg.eigh(grams)[1][..., ::-1]
         bh = b.conj().swapaxes(-1, -2)
-        nums, dens = bh @ grams @ b, bh @ b
-    at = np.cumsum([a is not None for a in skews]) - 1  # index among matrices
-    for j, (lam, stream) in enumerate(zip(spectra, streams)):
-        pairs = [None if a is None else (nums[i, j], dens[i, j])
-                 for a, i in zip(skews, at)]
-        best = best_quotients(lam, pairs, bits, n_codebooks, stream)
-        top = lam[0]
-        if rho is None:
-            yield (top - best) / top
-        else:
-            yield math.log2(1.0 + rho * top) - np.log2(1.0 + rho * best)
+        pairs = zip(bh @ grams @ b, bh @ b)
+    best = best_quotients(spectra, [a if a is None else next(pairs) for a in skews],
+                          bits, n_codebooks, gens)
+    top = spectra[:, :1, None]
+    if rho is None:
+        return (top - best) / top
+    return np.log2(1.0 + rho * top) - np.log2(1.0 + rho * best)
 
 
 def sampled_losses(channel: ChannelRealization, skews, bits: int,
@@ -477,33 +470,42 @@ def sampled_losses(channel: ChannelRealization, skews, bits: int,
     in bits at that power.
     """
     _check_sampling(bits, rho, n_codebooks, "codebooks")
+    gens = codeword_generators(stream, any(a is not None for a in skews))
     samples, = _loss_samples(channel.gram[None], channel.spectrum[None], skews,
-                             bits, n_codebooks, [stream], rho)
+                             bits, n_codebooks, gens, rho)
     return [LossEstimate.from_samples(s) for s in samples]
+
+
+def _channel_means(model: ChannelModel, skews, bits: int, n_channels: int,
+                   n_codebooks: int, stream: RngStream, rho) -> np.ndarray:
+    """The (n_channels, len(skews)) channel means.  Group g, the next
+    ``group_width`` channels, draws from stream.derive(g): its channels from
+    the "channel" child in one stacked draw, its codewords from "codebooks".
+    Memory blocks cut a group, reading each generator in the same order."""
+    n = model.n_t
+    s = sum(a is not None for a in skews)
+    block = max(1, _STACK_ENTRIES // (n * (model.n_r + n * (2 + 5 * s if s else 1))))
+    width = group_width(n, bits, n_codebooks)
+    means = []
+    for g, first in enumerate(range(0, n_channels, width)):
+        sub, end = stream.derive(g), min(first + width, n_channels)
+        channels = sub.derive("channel").generator()
+        gens = codeword_generators(sub.derive("codebooks"), s > 0)
+        for lo in range(first, end, block):
+            grams, spectra = sample_grams(model, channels, min(block, end - lo))
+            means.append(_loss_samples(grams, spectra, skews, bits, n_codebooks,
+                                       gens, rho).mean(axis=2))
+    return np.concatenate(means)
 
 
 def channel_averaged_losses(model: ChannelModel, skews, bits: int,
                             n_channels: int, n_codebooks: int,
                             stream: RngStream, rho: float | None = None) -> list:
-    """Channel- and codebook-averaged ``sampled_losses`` of several codebooks.
-
-    Channel i draws from stream.derive(i): its "channel" child gives the
-    channel and its "codebooks" child the codewords every codebook shares.
-    The standard error is taken over the per-channel means.  Channels are
-    drawn and stacked in blocks of bounded size, which changes no value.
-    """
+    """Channel- and codebook-averaged ``sampled_losses`` of several codebooks,
+    the standard error taken over ``_channel_means``."""
     _check_sampling(bits, rho, n_channels, "channel draws")
-    n = model.n_t
-    s = sum(a is not None for a in skews)
-    block = max(1, _STACK_ENTRIES // (n * (model.n_r + n * (2 + 5 * s if s else 1))))
-    means = []
-    for lo in range(0, n_channels, block):
-        subs = [stream.derive(i) for i in range(lo, min(lo + block, n_channels))]
-        grams, spectra = sample_grams(model, (s.derive("channel").generator() for s in subs))
-        means += [samples.mean(axis=1) for samples in _loss_samples(
-            grams, spectra, skews, bits, n_codebooks,
-            (s.derive("codebooks") for s in subs), rho)]
-    return [LossEstimate.from_samples(row) for row in np.array(means).T]
+    means = _channel_means(model, skews, bits, n_channels, n_codebooks, stream, rho)
+    return [LossEstimate.from_samples(row) for row in means.T]
 
 
 def avg_delta_snr(model: ChannelModel, bits: int, n_channels: int,

@@ -62,12 +62,14 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seq))
 
 
+def haar_unitary(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries, one per trailing (dim, dim, 2) block of
+    normals: QR of complex Gaussians, each phase convention fixed."""
+    q, r = np.linalg.qr(normals[..., 0] + 1j * normals[..., 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def sample_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((dim, dim, 2))
-    z = g[..., 0] + 1j * g[..., 1]
-    q, r = np.linalg.qr(z)
-    # fix the phase convention so the distribution is exactly Haar
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    """Haar-distributed unitary."""
+    return haar_unitary(rng.standard_normal((dim, dim, 2)))

@@ -392,7 +392,7 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     if n_channels < 1:
         raise ValueError("need at least one channel draw")
     # the design channels are drawn in turn from one generator
-    grams, spectra = sample_grams(model, [stream.derive("channels").generator()] * n_channels)
+    grams, spectra = sample_grams(model, stream.derive("channels").generator(), n_channels)
     dim = grams.shape[1]
     mean_gram = sum(grams) / len(grams)
     eig_mean = hermitian_eig(mean_gram)

@@ -7,9 +7,9 @@ Schoenberg, 1966).  ``pdf`` and ``cdf`` evaluate it for any n <= MAX_DIM by
 the de Boor-Cox recursion (de Boor, 1972), in which every step is a convex
 combination of nonnegative terms; a zero-width knot span contributes 0, so
 tied eigenvalues need no guard.  Both take a float or an array of points.
-The same fact samples the law: ``draw_weighted_norms`` normalizes n Exp(1)
-variables into simplex weights, and so do fig1's empirical CDF and the plain
-rows of the Monte Carlo kernel.
+The same fact samples the law: ``sample_weighted_norms`` normalizes n Exp(1)
+variables into simplex weights, and so do the plain rows of the Monte Carlo
+kernel.
 """
 
 from __future__ import annotations
@@ -94,16 +94,6 @@ def cdf(law: WeightedNormLaw, x):
     return _shaped(out, xs)
 
 
-def draw_weighted_norms(lam, gen: np.random.Generator, count: int):
-    """count draws of the law of spectrum lam, and the (n, count) Exp(1)
-    array e behind them: the weights e_i / sum(e) of each column are uniform
-    on the simplex, so lam'e / sum(e) is a weighted norm."""
-    e = gen.standard_exponential((len(lam), count))
-    w = lam @ e
-    w /= e.sum(axis=0)
-    return w, e
-
-
 def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStream) -> np.ndarray:
     """Draw eigenweighted norms; fixed chunking keeps the result independent
     of worker layout (chunk c always uses the substream derived with key c)."""
@@ -112,8 +102,9 @@ def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStrea
     out = np.empty(n_samples)
     for chunk_idx, pos in enumerate(range(0, n_samples, _CHUNK)):
         take = min(_CHUNK, n_samples - pos)
-        gen = stream.derive(chunk_idx).generator()
-        out[pos:pos + take] = draw_weighted_norms(law.lam, gen, take)[0]
+        e = stream.derive(chunk_idx).generator().standard_exponential((law.n, take))
+        out[pos:pos + take] = law.lam @ e
+        out[pos:pos + take] /= e.sum(axis=0)
     return out
 
 

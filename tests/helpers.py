@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 
 from rvqlab.channel import ChannelRealization
-from rvqlab.codebook import best_quotients
+from rvqlab.codebook import best_quotients, codeword_generators
 from rvqlab.linalg import hermitian_eig
 
 
@@ -43,26 +43,41 @@ def codeword_basis(pairs):
     return hermitian_eig(grams[0] if grams else np.eye(pairs[0][0].shape[0]))
 
 
+def standard_basis_stack(channels, bits, n_codebooks, stream):
+    """``codebook.best_quotients`` of a stack of channels, each a list of
+    pairs written on the standard basis with the same plain and skewed
+    positions, called as ``loss`` calls it: on the spectra of
+    ``codeword_basis``, with plain pairs as None, every skewed pair (M, N) as
+    the stacks of (U'MU, U'NU), and the generators of
+    ``codebook.codeword_generators(stream)``."""
+    eigs = [codeword_basis(pairs) for pairs in channels]
+    rows = []
+    for k, (_, nn) in enumerate(channels[0]):
+        if nn is None:
+            rows.append(None)
+            continue
+        rows.append(tuple(np.array([e.vectors.conj().T @ pairs[k][i] @ e.vectors
+                                    for e, pairs in zip(eigs, channels)])
+                          for i in (0, 1)))
+    gens = codeword_generators(stream, any(row is not None for row in rows))
+    return best_quotients(np.array([e.values for e in eigs]), rows, bits,
+                          n_codebooks, gens)
+
+
 def standard_basis_quotients(pairs, bits, n_codebooks, stream):
-    """``codebook.best_quotients`` of pairs written on the standard basis,
-    called as ``loss`` calls it: on the spectrum of ``codeword_basis``, with
-    plain pairs as None and every skewed pair (M, N) as (U'MU, U'NU)."""
-    eig = codeword_basis(pairs)
-    u, uh = eig.vectors, eig.vectors.conj().T
-    rows = [None if nn is None else (uh @ mm @ u, uh @ nn @ u)
-            for mm, nn in pairs]
-    return best_quotients(eig.values, rows, bits, n_codebooks, stream)
+    """``standard_basis_stack`` of the one channel of pairs: every plain pair
+    (G, None) carries the one Gram G."""
+    return standard_basis_stack([pairs], bits, n_codebooks, stream)[0]
 
 
-def chunk_generators(stream, chunk):
-    """The kernel's two generators of a chunk: Exp(1) weights from
-    stream.derive(chunk), phases from its "phase" child."""
-    sub = stream.derive(chunk)
-    return sub.generator(), sub.derive("phase").generator()
+def stream_generators(stream):
+    """The kernel's two generators of one stream, spelled out: Exp(1)
+    weights from the stream itself, phases from its "phase" child."""
+    return stream.generator(), stream.derive("phase").generator()
 
 
 def slice_codewords(gens, u, cols):
-    """The kernel's next cols codewords f = U g of a chunk, as a (cols, n)
+    """The kernel's next cols codewords f = U g of one channel, as a (cols, n)
     complex array: |g_i|^2 are (n, cols) Exp(1) draws and g_i / |g_i| =
     z_i / |z_i| the phases of (2, n, cols) normals z."""
     weights, phases = gens
@@ -76,12 +91,12 @@ def rvq_codebooks(stream, bits, u, n_codebooks, skew=None):
     """Explicit RVQ codebooks, the Monte Carlo kernel's reference.
 
     The (n_codebooks, 2**bits, n) unit-norm codewords are normalized from the
-    kernel's own draws for one chunk and slice, on the basis u; a skew A maps
-    each codeword w to A w, renormalized.  They match the kernel's draws
-    while all codebooks fit in its first chunk and slice.
+    kernel's own draws for one channel's first slice, on the basis u; a skew
+    A maps each codeword w to A w, renormalized.  They match the kernel's
+    draws while all codebooks fit in its first slice.
     """
-    f = slice_codewords(chunk_generators(stream, 0), u, n_codebooks << bits)
-    w = f.reshape(n_codebooks, 1 << bits, -1)
+    f = slice_codewords(stream_generators(stream), u, n_codebooks << bits)
+    w = f.reshape(1 << bits, n_codebooks, -1).swapaxes(0, 1)  # codeword-major
     w /= np.linalg.norm(w, axis=-1, keepdims=True)
     if skew is not None:
         w = w @ skew.T
@@ -94,26 +109,19 @@ def selected_gains(books, gram):
     return np.einsum("cki,ij,ckj->ck", books.conj(), gram, books).real.max(axis=1)
 
 
-def einsum_best_quotients(pairs, bits, n_codebooks, stream):
-    """The Monte Carlo kernel as complex einsums, an independent reference.
-
-    Same chunks, streams, codeword slices and basis as
-    ``standard_basis_quotients``, with explicit codewords f = U g; each
-    quadratic form is
-    ``einsum("cki,ij,ckj->ck", conj(f), M, f).real`` and the plain norm
-    ``einsum("cki,cki->ck", conj(f), f).real``.
-    """
+def _einsum_channel(pairs, bits, n_codebooks, gens):
+    """One channel of ``einsum_best_quotients``, drawn from gens."""
     m, n, block = 1 << bits, pairs[0][0].shape[0], 1 << 16
     per_chunk = max(1, block // (m * n))
     step = max(1, block // n)
     u = codeword_basis(pairs).vectors
     best = np.full((len(pairs), n_codebooks), -np.inf)
-    for chunk, pos in enumerate(range(0, n_codebooks, per_chunk)):
+    for pos in range(0, n_codebooks, per_chunk):
         take = min(per_chunk, n_codebooks - pos)
-        gens = chunk_generators(stream, chunk)
         out = best[:, pos:pos + take]
         for lo in range(0, m, step):
-            f = slice_codewords(gens, u, take * min(step, m - lo)).reshape(take, -1, n)
+            f = slice_codewords(gens, u, take * min(step, m - lo))
+            f = f.reshape(-1, take, n).swapaxes(0, 1)  # codeword-major
             fc = f.conj()
             norm2 = np.einsum("cki,cki->ck", fc, f).real
             for k, (mm, nn) in enumerate(pairs):
@@ -122,6 +130,27 @@ def einsum_best_quotients(pairs, bits, n_codebooks, stream):
                     "cki,ij,ckj->ck", fc, nn, f).real
                 np.maximum(out[k], (num / den).max(axis=1), out=out[k])
     return best
+
+
+def einsum_best_quotients(pairs, bits, n_codebooks, stream):
+    """The Monte Carlo kernel as complex einsums, an independent reference.
+
+    Same generators, codebook chunks, codeword slices and basis as
+    ``standard_basis_quotients``, with explicit codewords f = U g; each
+    quadratic form is
+    ``einsum("cki,ij,ckj->ck", conj(f), M, f).real`` and the plain norm
+    ``einsum("cki,cki->ck", conj(f), f).real``.
+    """
+    return _einsum_channel(pairs, bits, n_codebooks, stream_generators(stream))
+
+
+def einsum_stack_quotients(channels, bits, n_codebooks, stream):
+    """``einsum_best_quotients`` of a stack of channels, looped channel by
+    channel over one pair of generators: the reference for
+    ``standard_basis_stack``."""
+    gens = stream_generators(stream)
+    return np.array([_einsum_channel(pairs, bits, n_codebooks, gens)
+                     for pairs in channels])
 
 
 def loop_skew_objective(grams, tops, alpha):

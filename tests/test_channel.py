@@ -35,11 +35,16 @@ def test_stacked_grams_match_sample_channel():
               FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], n_r=5),
               FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], frozen=True)]
     for model in models:
-        keys = [f"stack{i}" for i in range(6)]
-        grams, spectra = sample_grams(model, (_gen(k) for k in keys))
-        assert grams.shape == (len(keys), 4, 4) and spectra.shape == (len(keys), 4)
-        for key, gram, spectrum in zip(keys, grams, spectra):
-            ch = sample_channel(model, _gen(key))
+        # six draws stacked, against six draws in turn: bit for bit as
+        # stacks of one, and as sample_channel calls
+        grams, spectra = sample_grams(model, _gen("stack"), 6)
+        assert grams.shape == (6, 4, 4) and spectra.shape == (6, 4)
+        gen, turn = _gen("stack"), _gen("stack")
+        for gram, spectrum in zip(grams, spectra):
+            one, top = sample_grams(model, turn, 1)
+            np.testing.assert_array_equal(one[0], gram)
+            np.testing.assert_array_equal(top[0], spectrum)
+            ch = sample_channel(model, gen)
             assert np.abs(gram - ch.gram).max() <= 1e-13 * np.abs(ch.gram).max()
             assert spectrum[0] == pytest.approx(ch.spectrum[0], rel=1e-13)
             # the channel clips rounding below 0 where the rank is below 4

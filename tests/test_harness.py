@@ -367,36 +367,41 @@ _TINY = {
 
 
 # sha256 of each _TINY CSV at seed 3.  The sampled columns are draws of the
-# SFC64 streams, with each channel-averaged task's channels drawn first and
-# their Grams' spectra taken in one stacked solve.  The kernel draws each
-# codeword on its Gram's eigenbasis: n Exp(1) weights, which alone give a
-# plain RVQ row, and, when a skew shares the call, the phases of normals
-# from a child stream; a skewed row is one real matrix product per slice on
-# the embeddings [[Re M, -Im M], [Im M, Re M]], so its bytes also depend on
-# the BLAS GEMM kernel.  fig1's empirical CDF draws its weights the same
-# way.  The closed-form columns of fig2, fig5a and fig5b (and of the
-# sliced fig2 pin below) are those of the incomplete-beta theorem sum, the
-# Gauss-Laguerre rate loss and the graded-panel integral of delta2_appx, with
-# 1 - d carried as the product prod_j (l1-l2)/(l1-lj).  fig1's exact CDF and
-# fig3's oracle values are those of the de Boor-Cox recursion.  fig6d's
-# designed skews come from a search objective that reads the spectra of
-# P'(B'GB)P; at d = 1 it is flat in Q, so round-off picks among equal-valued
-# candidates.  Recorded with numpy 2.4, scipy 1.17 and OpenBLAS
-# 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may round
-# differently.
+# SFC64 streams.  A channel-averaged task draws its channels in groups of
+# ``codebook.group_width`` (those whose codewords fit in one kernel block):
+# group g reads its channels from the "channel" child of stream.derive(g),
+# in one stacked draw, and its codewords from the "codebooks" child, channel
+# after channel, in one kernel call.  A one-channel loss reads its codewords
+# from its own stream.  The kernel draws each codeword on its Gram's
+# eigenbasis: n Exp(1) weights, which alone give a plain RVQ row, and, when
+# a skew shares the call, the phases of normals from a "phase" child
+# stream.  A slice lays its codewords out codeword-major, codebook t taking
+# every take-th column from t.  A skewed row is one batched real matrix
+# product per slice on the embeddings [[Re M, -Im M], [Im M, Re M]], so its
+# bytes also depend on the BLAS GEMM kernel.  fig1's empirical CDF draws its
+# weights the same way.  The closed-form columns of fig2, fig5a and fig5b
+# (and of the sliced fig2 pin below) are those of the incomplete-beta
+# theorem sum, the Gauss-Laguerre rate loss and the graded-panel integral of
+# delta2_appx, with 1 - d carried as the product prod_j (l1-l2)/(l1-lj).
+# fig1's exact CDF and fig3's oracle values are those of the de Boor-Cox
+# recursion.  fig6d's designed skews come from a search objective that
+# reads the spectra of P'(B'GB)P; at d = 1 it is flat in Q, so round-off
+# picks among equal-valued candidates.  Recorded with numpy 2.4, scipy 1.17
+# and OpenBLAS 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may
+# round differently.
 _TINY_SHA256 = {
     "fig1": "195327630152c3ddfa40937b8fe70c6d755117b98447e4c07374823cd6805f45",
-    "fig2": "47fb73512c194e0c64fe5e8502860375afc91d62f744a2c730a7d8e7333c45ef",
+    "fig2": "0b8d941915aaa540c27fdc44cc9bb89d75f4716a0fb68fd0e23ce9887427fbfe",
     "fig3": "94a40e559373d4d9b27824f39d23272421acb17cce4c82086db680715c67c440",
-    "fig4a": "0fca4a621771d2a239f1e7de65fbd9c5dbdbcf5933e4f8d36e3b42c9c64cd85b",
-    "fig4b": "5bbde63ae33fea897cbaf9f2fbd55c3e0b1fc069d02e8dbf756025a3d726b9fe",
-    "fig5a": "d4a1c75d71326c8aff68093a2ea488a1e715563cd3c7d197328e3047e16099b3",
-    "fig5b": "dcbe4ed4e72d9214960fb13d49499dffad158b0b8fbbdafdf00e8c96b9521805",
-    "fig6a": "f5de8c18c41b5cbefec88504b6a69e467a33cb5e6889ca532a25d07cd403a963",
-    "fig6b": "b400f536ec7c55a49f579e5298931423e25ccfa6c6fa4c4c21e62e9e58641041",
-    "fig6c": "14e3487306c9b024ea8336170948f5d4d300d4fca5a8f62693a74edc09812a1d",
-    "fig6d": "0c8e2d11db2b67a6a9e162b1a02cfdad9d431c2e1b7439319eb43a281a33ad2f",
-    "custom": "1a934f3f480b1c4e96dffd364f80f0c09cd5202f4c77f496475f34b46bd6c817",
+    "fig4a": "3f63f7eee911a34943eb992f6cfaa18fd590604375fd22507524f954b530c91d",
+    "fig4b": "ade0ac660b60f77543fe1482066b018f67f0fe0bdcdd0254c8af53c52b21ae3f",
+    "fig5a": "81963d5bc4c3f1ed0dcc7808bf11d098fa454058a929d5190d4ab21836e1cf00",
+    "fig5b": "ea3601ac95c3c9ca4b804feb117bbbab59a0badf4a3f2eb3565ffcabcec95c68",
+    "fig6a": "1913748b79a2d82e79fc91ceb2d37b9c10fcd6173225af6a14578ec5c58f6a8e",
+    "fig6b": "f7088cb10cf49bc87fb94298ef56880c42865ce2d385a1397e64e58d69c51b19",
+    "fig6c": "cdcc795b0ceae2e924f5514856527a433eed0e2c9420bb5649009bb13942a7ff",
+    "fig6d": "d62336048c5a2e0fd229491a10967d461f61e6ac58cfd312a37576a07ee223aa",
+    "custom": "d2dd446516859fcd835f09172216c9e383034e54860c11d5688ffbdf3e2400cd",
 }
 
 
@@ -424,4 +429,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "8bbc758c597607e0910f0462424dacd60dfe8164d533c3714fbdf3133b0911ef")
+        "9e1a761dfa7f02f44b221d6ac5425a1f454d57dec065dbc5953189156f194c55")

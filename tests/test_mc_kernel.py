@@ -6,27 +6,34 @@ import numpy as np
 import pytest
 
 from helpers import (codeword_basis, complex_gaussian, diag_channel,
-                     einsum_best_quotients, random_channel, random_full_rank,
-                     rvq_codebooks, selected_gains, standard_basis_quotients)
+                     einsum_best_quotients, einsum_stack_quotients,
+                     random_channel, random_full_rank, rvq_codebooks,
+                     selected_gains, standard_basis_quotients,
+                     standard_basis_stack)
 from rvqlab.channel import KroneckerModel
+from rvqlab.codebook import group_width
 from rvqlab import loss as loss_module
-from rvqlab.harness import skew_candidates_avg
-from rvqlab.loss import (avg_delta_snr, channel_averaged_losses, delta1_exact,
-                         delta1_mc, sampled_losses)
+from rvqlab.harness import _fig4_model, skew_candidates_avg
+from rvqlab.loss import (avg_delta_mi, avg_delta_snr, channel_averaged_losses,
+                         delta1_exact, delta1_mc, sampled_losses)
 from rvqlab.rng import RngStream
 from rvqlab.skew import SkewMatrix, delta1_sk_mc
 
 
 class _RecordingStream:
-    """Stream proxy that logs the method and shape of every draw."""
+    """Stream proxy that logs the method and shape of every draw, and the
+    key path of every generator it builds in built."""
 
-    def __init__(self, stream, draws):
-        self.stream, self.draws = stream, draws
+    def __init__(self, stream, draws, built=None, path=()):
+        self.stream, self.draws, self.path = stream, draws, path
+        self.built = [] if built is None else built
 
     def derive(self, key):
-        return _RecordingStream(self.stream.derive(key), self.draws)
+        return _RecordingStream(self.stream.derive(key), self.draws, self.built,
+                                self.path + (key,))
 
     def generator(self):
+        self.built.append(self.path)
         return _RecordingGenerator(self.stream.generator(), self.draws)
 
 
@@ -34,13 +41,13 @@ class _RecordingGenerator:
     def __init__(self, gen, draws):
         self.gen, self.draws = gen, draws
 
-    def standard_normal(self, shape):
-        self.draws.append(("standard_normal", shape))
-        return self.gen.standard_normal(shape)
+    def standard_normal(self, size=None, out=None):
+        self.draws.append(("standard_normal", size if out is None else out.shape))
+        return self.gen.standard_normal(size, out=out)
 
-    def standard_exponential(self, shape):
-        self.draws.append(("standard_exponential", shape))
-        return self.gen.standard_exponential(shape)
+    def standard_exponential(self, size=None, out=None):
+        self.draws.append(("standard_exponential", size if out is None else out.shape))
+        return self.gen.standard_exponential(size, out=out)
 
 
 def _quotient_pairs(n):
@@ -128,6 +135,73 @@ def test_sliced_kernel_equals_complex_einsum_bit_for_bit():
         np.testing.assert_allclose(standard_basis_quotients(pairs, 15, 2, stream),
                                    einsum_best_quotients(pairs, 15, 2, stream),
                                    rtol=1e-13)
+
+
+def _channel_stack(n, c, seed):
+    """c channels of two pairs each, plain RVQ then a skew, on distinct Grams."""
+    rng = RngStream(seed).derive(f"stack{n}/{c}").generator()
+    stack = []
+    for _ in range(c):
+        gram = random_channel(rng, 2, n).gram
+        a = complex_gaussian(rng, (n, n))
+        stack.append([(gram, None), (a.conj().T @ gram @ a, a.conj().T @ a)])
+    return stack
+
+
+# (bits, n_codebooks) at n = 4: one group of every channel, groups of two
+# channels (so a stack of three takes two), one channel a group, and
+# codebooks in two chunks
+_STACK_SHAPES = [(0, 3), (2, 10), (6, 100), (7, 100), (12, 5)]
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_kernel_on_channel_stacks_equals_a_channel_loop(c):
+    # rows mixed across channels, or draws taken out of channel order, would
+    # set a channel's rows apart from its own codewords
+    for n in (2, 4):
+        stack = _channel_stack(n, c, 47)
+        for bits, n_codebooks in _STACK_SHAPES:
+            for rows in (slice(0, 1), slice(0, 2)):  # plain alone, then with a skew
+                call = [pairs[rows] for pairs in stack]
+                stream = RngStream(47).derive(f"stack{n}/{c}/{bits}")
+                got = standard_basis_stack(call, bits, n_codebooks, stream)
+                assert got.shape == (c, len(call[0]), n_codebooks)
+                np.testing.assert_allclose(
+                    got, einsum_stack_quotients(call, bits, n_codebooks, stream),
+                    rtol=1e-13)
+
+
+@pytest.mark.parametrize("bits, n_codebooks", [(3, 20), (6, 80)])
+def test_first_channels_keep_their_means(bits, n_codebooks):
+    # one group of all 20 channels, then groups of three
+    model = KroneckerModel(lambda_t=np.array([1.6, 1.2, 0.8, 0.4]),
+                           lambda_r=np.array([1.5, 1.0, 0.5]))
+    stream = RngStream(53).derive(f"prefix{bits}")
+    a = random_full_rank(stream.derive("skew").generator(), 4)
+    for skews, rho in (([None], None), ([None, a], 2.0)):
+        full = loss_module._channel_means(model, skews, bits, 20, n_codebooks,
+                                          stream, rho)
+        head = loss_module._channel_means(model, skews, bits, 7, n_codebooks,
+                                          stream, rho)
+        assert full.shape == (20, len(skews))
+        np.testing.assert_array_equal(full[:7], head)
+
+
+@pytest.mark.parametrize("bits", [1, 4, 6])
+def test_channel_groups_build_two_generators_each(bits):
+    # fig4b's shape: 30 channels of 100 codebooks at n = 4
+    built = []
+    avg_delta_mi(_fig4_model([8.0, 8.0, 0.0, 0.0]), 10.0, bits, 30, 100,
+                 _RecordingStream(RngStream(59).derive("fig4b"), [], built))
+    groups = -(-30 // group_width(4, bits, 100))
+    assert groups < 30
+    assert sorted(built) == sorted([(g, "channel") for g in range(groups)]
+                                   + [(g, "codebooks") for g in range(groups)])
+    built.clear()
+    channel_averaged_losses(_fig4_model([8.0, 8.0, 0.0, 0.0]), [None, np.eye(4)],
+                            bits, 30, 100,
+                            _RecordingStream(RngStream(59).derive("fig4b"), [], built))
+    assert len(built) == 3 * groups  # and a "phase" generator with a skew
 
 
 def test_estimates_carry_their_sample_count():

@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import kstest
 
 from helpers import standard_basis_quotients
-from rvqlab.rng import MASK64, RngStream, mix_label, sample_unitary, splitmix64
+from rvqlab.rng import (MASK64, RngStream, haar_unitary, mix_label, sample_unitary,
+                        splitmix64)
 
 
 def test_splitmix_range_and_injective_prefix():
@@ -85,6 +86,23 @@ def test_unitary_invariance_dim2():
     mass = _first_coordinate_mass(2, 10 ** 5, RngStream(5).derive("iso2"), u)
     stat = kstest(mass, "uniform").statistic
     assert stat <= 1.63 / math.sqrt(10 ** 5)
+
+
+def test_stacked_unitary_first_coordinate_uniform_dim2():
+    # the phase fix applies per matrix: |u11|^2 of Haar unitaries is uniform
+    gen = RngStream(5).derive("stacked u").generator()
+    u = haar_unitary(gen.standard_normal((10 ** 5, 2, 2, 2)))
+    assert u.shape == (10 ** 5, 2, 2)
+    stat = kstest(np.abs(u[:, 0, 0]) ** 2, "uniform").statistic
+    assert stat <= 1.63 / math.sqrt(10 ** 5)
+
+
+def test_stacked_unitaries_equal_draws_in_turn():
+    stack = haar_unitary(RngStream(6).derive("turn").generator().standard_normal((4, 3, 3, 2)))
+    gen = RngStream(6).derive("turn").generator()
+    for u in stack:
+        np.testing.assert_array_equal(u, sample_unitary(3, gen))
+        assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-12
 
 
 def test_sample_unitary_is_unitary():

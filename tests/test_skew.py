@@ -476,8 +476,8 @@ def _search_against_loop(model, alpha, n_channels, stream, budget):
     """The search reports the reference loop's objective of the skew it
     returns, within the tolerance of test_objective_matches_the_loop."""
     res = optimize_skew_a1(model, alpha, n_channels, stream, budget)
-    grams, spectra = sample_grams(
-        model, [stream.derive("channels").generator()] * n_channels)
+    grams, spectra = sample_grams(model, stream.derive("channels").generator(),
+                                  n_channels)
     a = res.skew.a
     want = loop_skew_objective(grams, spectra[:, 0], alpha)(a)
     mu = np.linalg.eigvalsh(a.conj().T @ grams @ a)
