@@ -13,14 +13,12 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import loss, ordering, skew
 from .channel import (FixedSpectrumModel, IIDModel, KroneckerModel,
@@ -476,6 +474,8 @@ def run(config: ExperimentConfig):
     issues = validate(config)
     if issues:
         raise ConfigError("; ".join(issues))
+    import scipy  # for the manifest's version; a bad config never loads it
+
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_name = f"{config.experiment}.csv"
@@ -507,6 +507,7 @@ def run(config: ExperimentConfig):
             results[idx] = fn(master.derive(label))
 
         if config.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 list(pool.map(execute, range(len(tasks))))
         else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import betainc
 
 from .channel import ChannelRealization, ChannelModel, sample_grams
 from .codebook import best_quotients, codeword_generators, group_width
@@ -122,6 +121,9 @@ def _theorem_sum(m: int, q: float, c: float, k_min: int = 0) -> float:
     of the negative binomial series sum_j (q)_j d^j / j! = c^-q, and that head
     is c^-q I_c(q, m - k_min + 1) (DLMF 8.17).  The caller passes c, not d:
     near d = 1 only c keeps its digits."""
+    # imported here: no sampled loss should pay for loading scipy.special
+    from scipy.special import betainc
+
     if not 0.0 < c <= 1.0:
         raise DegenerateSpectrumError("decay base must lie in [0, 1)")
     return _m_beta(m, q) * c ** -q * float(betainc(q, m - k_min + 1.0, c))

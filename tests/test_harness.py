@@ -331,19 +331,90 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_import_loads_only_scipy_special():
-    # each further scipy subpackage costs import time and resident memory in
-    # every run; a fresh interpreter sees what the import itself loads
-    probe = ("import sys, rvqlab.cli, rvqlab.harness; print(sorted("
-             "m for m, mod in sys.modules.items() if m.count('.') == 1 and "
-             "m.startswith('scipy.') and not m.startswith('scipy._') and "
-             "hasattr(mod, '__path__')))")
+def _fresh_python(*args, cwd=None):
+    """Run a new interpreter on this checkout's rvqlab; returns the process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rvqlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+def _imported(importtime_stderr):
+    """Module names in ``python -X importtime`` output."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in importtime_stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def _is_scipy(name):
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy loads where it is used (betainc for the closed forms, the
+    # optimizer for the skew search), and the thread pool where threads > 1:
+    # each costs import time and resident memory in every run that does not
+    # need it.  A fresh interpreter sees what the import itself loads.
+    probe = ("import json, sys, rvqlab.cli, rvqlab.harness; "
+             "print(json.dumps(sorted(sys.modules)))")
+    proc = _fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["['scipy.special']"]
+    loaded = set(json.loads(proc.stdout))
+    assert "rvqlab.harness" in loaded
+    assert not {m for m in loaded if _is_scipy(m)}
+    assert not loaded & {"numpy.f2py", "numpy.testing", "concurrent.futures"}
+    # a bad config exits 1 before anything loads scipy, from either command
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"experiment": "fig2", "trials": {"codebooks": 1}}')
+    for command in ("validate", "run"):
+        proc = _fresh_python("-X", "importtime", "-m", "rvqlab.cli", command,
+                             "--config", str(bad), cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        imported = _imported(proc.stderr)
+        assert "rvqlab.harness" in imported
+        assert not {m for m in imported if _is_scipy(m)}
+
+
+def test_scipy_loads_on_first_use_on_a_pool_thread(tmp_path):
+    # the test modules import scipy.stats, so only a fresh interpreter can
+    # make betainc's first import happen on a worker thread
+    fig2 = ExperimentConfig(experiment="fig2", seed=3, **_TINY["fig2"])
+    probe = f"""
+import hashlib, json, sys
+from pathlib import Path
+from rvqlab.harness import ExperimentConfig, run
+config = ExperimentConfig.from_json({fig2.to_json()!r})
+assert "scipy.special" not in sys.modules
+out = []
+for threads in (2, 1):
+    config.threads, config.output_dir = threads, f"t{{threads}}"
+    manifest = run(config)
+    out.append(Path(config.output_dir, "fig2.csv").read_bytes())
+import scipy
+print(json.dumps([out[0] == out[1], hashlib.sha256(out[0]).hexdigest(),
+                  manifest["versions"]["scipy"] == scipy.__version__]))
+"""
+    proc = _fresh_python("-c", probe, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, _TINY_SHA256["fig2"], True]
+
+
+def test_a_sampled_preset_never_loads_scipy_special(tmp_path):
+    # fig4b reads no closed form; were betainc's import back at module level,
+    # every Monte Carlo run would carry scipy.special's memory
+    fig4b = ExperimentConfig(experiment="fig4b", seed=3, threads=2,
+                             output_dir="out", **_TINY["fig4b"])
+    probe = f"""
+import hashlib, json, sys
+from pathlib import Path
+from rvqlab.harness import ExperimentConfig, run
+run(ExperimentConfig.from_json({fig4b.to_json()!r}))
+print(json.dumps(["scipy.special" in sys.modules, hashlib.sha256(
+    Path("out", "fig4b.csv").read_bytes()).hexdigest()]))
+"""
+    proc = _fresh_python("-c", probe, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, _TINY_SHA256["fig4b"]]
 
 
 _IID = {"kind": "iid", "n_t": 3, "n_r": 2}
