@@ -16,7 +16,7 @@ import numpy as np
 from rvqlab.channel import KroneckerModel, sample_channel
 from rvqlab.loss import delta1_exact, delta1_mc
 from rvqlab.rng import RngStream, sample_unitary
-from rvqlab.skew import SkewMatrix, build_skew_a2, delta1_sk_exact2, delta1_sk_mc
+from rvqlab.skew import SkewMatrix, build_skew_a2, delta1_sk_mc, delta1_sk_quadrature
 
 
 def main(argv=None):
@@ -57,10 +57,17 @@ def main(argv=None):
     gen2 = stream.derive("two-mode").generator()
     two = sample_channel(KroneckerModel(lambda_t=np.array([2.0, 1.0]),
                                         lambda_r=np.array([1.5, 0.5])), gen2)
-    exact = delta1_sk_exact2(two, SkewMatrix(sample_unitary(2, gen2)), 3).value
-    print(f"  two-mode closed form under a unitary: {exact:.6f}"
+    exact = delta1_sk_quadrature(two, SkewMatrix(sample_unitary(2, gen2)), 3).value
+    print(f"  two-mode quadrature under a unitary: {exact:.6f}"
           f" vs plain {delta1_exact(two.spectrum, 3).value:.6f}")
+    print()
 
+    print("the skewed loss on one correlated channel, by quadrature and sampling:")
+    print("  bits   quadrature    sampled (std err)")
+    for b in (2, 4, 6):
+        exact = delta1_sk_quadrature(ch, skew, b).value
+        est = delta1_sk_mc(ch, skew, b, args.codebooks * 20, stream.derive("check").derive(b))
+        print(f"  {b:4d}   {exact:9.5f}     {est.value:9.5f} ({est.stderr:.5f})")
 
 if __name__ == "__main__":
     main()

@@ -177,9 +177,10 @@ def delta1_appx(lam, bits: int) -> LossEstimate:
     return LossEstimate(qf.a_n * (1.0 - lam[1]) * s, "approx")
 
 
-def _deficit_integrand(lam, bits: int):
+def _deficit_integrand(lam, bits: int, deficit_cdf=None):
     """(f, breakpoints): f(u) = F(l1 - u)**m over the gain deficit u, F the
-    gain-law CDF of a normalized spectrum.
+    gain-law CDF of a normalized spectrum, or the law whose G = 1 - F the
+    caller's deficit_cdf(u) gives.
 
     f is exp(m log1p(-G)), G = 1 - F the CDF of the deficit law (spectrum
     l1 - lam), whose low tail is a sum of positive terms: G keeps its
@@ -193,10 +194,12 @@ def _deficit_integrand(lam, bits: int):
     edges = lam[0] - lam
     if edges[-1] == 0.0:
         return np.zeros_like, [0.0, 0.0]  # flat spectrum: no loss
-    law = WeightedNormLaw(edges[::-1])
+    if deficit_cdf is None:
+        law = WeightedNormLaw(edges[::-1])
+        deficit_cdf = lambda u: cdf(law, u)
 
     def f(u):
-        g = np.minimum(cdf(law, u), 1.0)  # rounding near l_n
+        g = np.minimum(deficit_cdf(u), 1.0)  # rounding near l_n
         with np.errstate(divide="ignore"):
             return np.exp(m * np.log1p(-g))
 

@@ -1,8 +1,7 @@
-"""Adaptive quadrature: composite Gauss-Legendre for the loss oracles, and
-Simpson for the skew integrals and as the oracle's check in the tests.
-
-Deliberately hand-rolled.  The loss oracles that the closed forms are
-checked against integrate with it, and so does the rate-loss approximant
+"""Adaptive composite Gauss-Legendre on array integrands, deliberately
+hand-rolled: the one quadrature rule of the package.  The plain and skewed
+loss oracles that the closed forms are checked against integrate with it, and
+so do the skewed two-antenna bound and the rate-loss approximant
 ``delta2_appx``, whose reference is the mpmath route of its tests instead.
 """
 
@@ -15,49 +14,8 @@ import numpy as np
 from .errors import ResourceLimitError
 
 DEFAULT_TOL = 1e-10
-MAX_INTERVALS = 10 ** 6
 MAX_PANELS = 10 ** 4
 GAUSS_ORDER = 16
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
-                     max_intervals: int = MAX_INTERVALS) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol.
-
-    Classic recursive Simpson with Richardson acceptance, run on an explicit
-    stack; raises if the interval budget is exhausted before convergence.
-    """
-    if not b > a:
-        if b == a:
-            return 0.0
-        raise ValueError("integration bounds must satisfy a <= b")
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fm, fb, whole, tol)]
-    total = 0.0
-    used = 0
-    while stack:
-        x0, x1, f0, fmid, f1, s, t = stack.pop()
-        used += 1
-        if used > max_intervals:
-            raise ResourceLimitError("adaptive_simpson interval budget exhausted")
-        xm = 0.5 * (x0 + x1)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x1)
-        fl, fr = f(xl), f(xr)
-        sl = (xm - x0) / 6.0 * (f0 + 4.0 * fl + fmid)
-        sr = (x1 - xm) / 6.0 * (fmid + 4.0 * fr + f1)
-        err = sl + sr - s
-        # 15x factor from the Richardson error model of Simpson halving
-        if abs(err) <= 15.0 * t or (x1 - x0) < 1e-15 * (b - a):
-            total += sl + sr + err / 15.0
-        else:
-            half = 0.5 * t
-            stack.append((x0, xm, f0, fl, fmid, sl, half))
-            stack.append((xm, x1, fmid, fr, f1, sr, half))
-    return total
 
 
 @cache

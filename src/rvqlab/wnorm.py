@@ -6,7 +6,8 @@ as density the normalized B-spline with knots ln, ..., l1 (Curry and
 Schoenberg, 1966).  ``pdf`` and ``cdf`` evaluate it for any n <= MAX_DIM by
 the de Boor-Cox recursion (de Boor, 1972), in which every step is a convex
 combination of nonnegative terms; a zero-width knot span contributes 0, so
-tied eigenvalues need no guard.  Both take a float or an array of points.
+tied eigenvalues need no guard.  Both take a float or an array of points;
+``stacked_cdf`` takes a spectrum per point, of any sign.
 The same fact samples the law: ``sample_weighted_norms`` normalizes n Exp(1)
 variables into simplex weights, and so do the plain rows of the Monte Carlo
 kernel.
@@ -29,8 +30,7 @@ class WeightedNormLaw:
     """Law of the eigenweighted norm for one spectrum (descending, l1 > 0)."""
 
     lam: np.ndarray
-    # ascending knots ln..l1 padded with n - 1 more copies of l1, and for each
-    # order r = 2..n the inverse widths 1/(t[i+r-1] - t[i]), 0 where a width is 0
+    # the padded knots and their inverse widths, as ``_padded_knots`` gives them
     knots: np.ndarray = field(init=False, repr=False, compare=False)
     inv_widths: tuple = field(init=False, repr=False, compare=False)
 
@@ -38,12 +38,10 @@ class WeightedNormLaw:
         lam = check_spectrum(self.lam, n_min=2)
         if lam.size > MAX_DIM:
             raise ValueError(f"spectrum length exceeds the cap {MAX_DIM}")
-        t = np.append(lam[::-1], np.full(lam.size - 1, lam[0]))
-        widths = [t[r - 1:] - t[:1 - r] for r in range(2, lam.size + 1)]
+        t, inv_widths = _padded_knots(lam)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "knots", t)
-        object.__setattr__(self, "inv_widths", tuple(
-            np.divide(1.0, w, out=np.zeros_like(w), where=w > 0) for w in widths))
+        object.__setattr__(self, "inv_widths", inv_widths)
 
     @property
     def n(self) -> int:
@@ -54,18 +52,33 @@ class WeightedNormLaw:
         return float(self.lam[-1]), float(self.lam[0])
 
 
-def _splines(law: WeightedNormLaw, xs: np.ndarray, order: int, n_knots: int):
-    """De Boor-Cox: the B-splines of an order on the first n_knots knots at
-    the points xs (flat), one row per spline.  Spans are half-open, except
-    that the last nonempty one also takes its top knot."""
-    t = law.knots[:n_knots]
-    top = np.searchsorted(t, t[-1])  # first copy of the top knot
-    span = np.minimum(np.searchsorted(t, xs, side="right"), top) - 1
-    b = ((np.arange(n_knots - 1)[:, None] == span) & (xs <= t[-1])).astype(float)
-    t = t[:, None]
+def _padded_knots(lam):
+    """Ascending knots ln..l1 padded with n - 1 more copies of l1, of one
+    descending spectrum (n,) or a column per row of a stack (p, n), and for
+    each order r = 2..n the inverse widths 1/(t[i+r-1] - t[i]), 0 where a
+    width is 0."""
+    n = lam.shape[-1]
+    t = np.concatenate([lam[..., ::-1]] + [lam[..., :1]] * (n - 1), axis=-1).T
+    col = t.reshape(t.shape[0], -1)  # widths in columns, also of one spectrum
+    return t, tuple(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
+                    for w in (col[r - 1:] - col[:1 - r] for r in range(2, n + 1)))
+
+
+def _splines(t, inv_widths, xs: np.ndarray, order: int):
+    """De Boor-Cox: the B-splines of an order on the knots t, with
+    ``_padded_knots``' inverse widths, at the points xs (flat), one row per
+    spline.  t is one column for every point, (k,), which is searched, or a
+    column per point, (k, xs.size), which is counted.  Spans are half-open,
+    except that the last nonempty one also takes its top knot."""
+    k = t.shape[0]
+    top, span = ((np.searchsorted(t, t[-1]), np.searchsorted(t, xs, side="right"))
+                 if t.ndim == 1 else ((t < t[-1]).sum(axis=0), (t <= xs).sum(axis=0)))
+    b = ((np.arange(k - 1)[:, None] == np.minimum(span, top) - 1)
+         & (xs <= t[-1])).astype(float)
+    t = t.reshape(k, -1)
     for r in range(2, order + 1):
-        inv = law.inv_widths[r - 2][:n_knots - r + 1, None]
-        b = ((xs - t[:n_knots - r]) * inv[:-1] * b[:-1]
+        inv = inv_widths[r - 2][:k - r + 1]
+        b = ((xs - t[:k - r]) * inv[:-1] * b[:-1]
              + (t[r:] - xs) * inv[1:] * b[1:])
     return b
 
@@ -79,7 +92,7 @@ def pdf(law: WeightedNormLaw, x):
     on the n knots, scaled by (n-1)/(l1-ln).  A flat spectrum reads 0."""
     xs = np.asarray(x, dtype=float)
     n = law.n
-    b = _splines(law, xs.ravel(), n - 1, n)[0]
+    b = _splines(law.knots[:n], law.inv_widths, xs.ravel(), n - 1)[0]
     return _shaped((n - 1) * law.inv_widths[-1][0] * b, xs)
 
 
@@ -90,8 +103,17 @@ def cdf(law: WeightedNormLaw, x):
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     out = np.where(flat >= law.lam[0], 1.0,
-                   _splines(law, flat, law.n, law.knots.size).sum(axis=0))
+                   _splines(law.knots, law.inv_widths, flat, law.n).sum(axis=0))
     return _shaped(out, xs)
+
+
+def stacked_cdf(lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """CDF at xs[j] of the law of the spectrum lams[j], for a stack (p, n)
+    of descending spectra of any sign: ``cdf`` with the knots of each point
+    its own column."""
+    t, inv_widths = _padded_knots(lams)
+    return np.where(xs >= lams[:, 0], 1.0,
+                    _splines(t, inv_widths, xs, lams.shape[1]).sum(axis=0))
 
 
 def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStream) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 
 from rvqlab.channel import ChannelRealization
 from rvqlab.codebook import best_quotients, codeword_generators
+from rvqlab.errors import ResourceLimitError
 from rvqlab.linalg import hermitian_eig
 
 
@@ -196,6 +197,47 @@ def eye_product_unitary(dim, angles):
     return u
 
 
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
+                     max_intervals: int = 10 ** 6) -> float:
+    """Integrate f over [a, b] to absolute tolerance tol: the independent
+    reference for ``rvqlab.quadrature.integrate_piecewise``.
+
+    Classic recursive Simpson with Richardson acceptance, run on an explicit
+    stack; raises if the interval budget is exhausted before convergence.
+    """
+    if not b > a:
+        if b == a:
+            return 0.0
+        raise ValueError("integration bounds must satisfy a <= b")
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    stack = [(a, b, fa, fm, fb, whole, tol)]
+    total = 0.0
+    used = 0
+    while stack:
+        x0, x1, f0, fmid, f1, s, t = stack.pop()
+        used += 1
+        if used > max_intervals:
+            raise ResourceLimitError("adaptive_simpson interval budget exhausted")
+        xm = 0.5 * (x0 + x1)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x1)
+        fl, fr = f(xl), f(xr)
+        sl = (xm - x0) / 6.0 * (f0 + 4.0 * fl + fmid)
+        sr = (x1 - xm) / 6.0 * (fmid + 4.0 * fr + f1)
+        err = sl + sr - s
+        # 15x factor from the Richardson error model of Simpson halving
+        if abs(err) <= 15.0 * t or (x1 - x0) < 1e-15 * (b - a):
+            total += sl + sr + err / 15.0
+        else:
+            half = 0.5 * t
+            stack.append((x0, xm, f0, fl, fmid, sl, half))
+            stack.append((xm, x1, fmid, fr, f1, sr, half))
+    return total
+
+
 def worst_relative_error(name, pairs):
     """Largest relative error over (got, want) pairs, printed under name."""
     worst = max(float(abs(got - want) / want) for got, want in pairs)
@@ -258,3 +300,31 @@ def mpmath_loss(lam, bits, rho=None):
             rho = mp.mpf(rho)
             integrand = lambda x: rho * cdf(x) ** m / ((1 + rho * x) * mp.log(2))
         return mp.quad(integrand, sorted(set(lam)))
+
+
+def mpmath_skew_loss(gram, a, bits, dps=40):
+    """Gain loss of the codebook skewed by a on the channel Gram gram, at
+    dps digits: ``mpmath.quad`` of F(x)**m / l1 over the channel spectrum,
+    F(x) = P(f'(M - xN)f <= 0) for isotropic f, M = A'GA and N = A'A.  At
+    each node the knots eig(M - xN) come from ``mp.eighe``, and F is the CDF
+    of ``mpmath_law`` on the knots shifted up by the least one, read at that
+    shift.  Gram and skew enter as the exact values of their floats, each
+    matrix made Hermitian by averaging with its conjugate transpose."""
+    with mp.workdps(dps):
+        g = mp.matrix(np.asarray(gram).tolist())
+        g = (g + g.H) / 2
+        am = mp.matrix(np.asarray(a).tolist())
+        m_mat = am.H * g * am
+        m_mat = (m_mat + m_mat.H) / 2
+        n_mat = am.H * am
+        n_mat = (n_mat + n_mat.H) / 2
+        lam = sorted(mp.eighe(g, eigvals_only=True), reverse=True)
+        m = 2 ** bits
+
+        def integrand(x):
+            knots = mp.eighe(m_mat - x * n_mat, eigvals_only=True)
+            low = knots[0]
+            cdf, _ = mpmath_law([knots[i] - low for i in range(len(knots) - 1, -1, -1)])
+            return cdf(-low) ** m
+
+        return mp.quad(integrand, sorted(set(lam))) / lam[0]

@@ -28,7 +28,7 @@ from rvqlab.loss import (
     epsilon_b_prime,
 )
 from rvqlab.ordering import schur_family, verify_schur, majorize_compare
-from rvqlab.skew import SkewMatrix, build_skew_a2, delta1_sk_exact2, delta1_sk_upper2, delta1_sk_mc
+from rvqlab.skew import SkewMatrix, build_skew_a2, delta1_sk_quadrature, delta1_sk_upper2, delta1_sk_mc
 from rvqlab.channel import KroneckerModel, sample_channel
 from rvqlab.harness import ExperimentConfig, run
 
@@ -182,7 +182,7 @@ def test_two_mode_skew_bounds_and_sampling_agree(capfd):
     for i in range(100):
         ch = random_channel(gen, 2, 2)
         sk = SkewMatrix(random_full_rank(gen, 2))
-        e = delta1_sk_exact2(ch, sk, 3).value
+        e = delta1_sk_quadrature(ch, sk, 3).value
         ok = ok and e <= delta1_sk_upper2(ch, sk, 3).value + 1e-12
         est = delta1_sk_mc(ch, sk, 3, 10**4, ROOT.derive("accept10mc").derive(i))
         ok = ok and abs(est.value - e) <= 4.0 * est.stderr
@@ -198,7 +198,7 @@ def test_unitary_skew_changes_nothing(capfd):
     for _ in range(20):
         ch = random_channel(gen, 2, 2)
         u = sample_unitary(2, gen)
-        gap = abs(delta1_sk_exact2(ch, SkewMatrix(u), 3).value -
+        gap = abs(delta1_sk_quadrature(ch, SkewMatrix(u), 3).value -
                   delta1_exact(ch.spectrum, 3).value)
         ok = ok and gap <= 1e-9
     _report(capfd, "ACCEPT-11", "unitary skew leaves the loss untouched", ok)

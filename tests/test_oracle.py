@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mpmath_loss
+from helpers import adaptive_simpson, mpmath_loss
 from rvqlab.errors import ResourceLimitError
 from rvqlab.loss import (GAP_RTOL, _deficit_integrand, _normalized,
                          delta1_quadrature, delta2_quadrature)
-from rvqlab.quadrature import adaptive_simpson, integrate_piecewise
+from rvqlab.quadrature import integrate_piecewise
 
 SPECTRA = [
     [2.0, 1.0],

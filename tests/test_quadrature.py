@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import adaptive_simpson
 from rvqlab.errors import ResourceLimitError
-from rvqlab.quadrature import adaptive_simpson, integrate_piecewise
+from rvqlab.quadrature import integrate_piecewise
 
 
 def test_cubic_is_exact():
