@@ -251,8 +251,8 @@ def _build_fig3(config, bits):
 
     def task(b):
         def fn(stream):
-            return [[float(1.0 - prof[0]), b, loss.delta1_quadrature(prof, b).value]
-                    for prof in family]
+            return [[float(1.0 - prof[0]), b, est.value]
+                    for prof, est in zip(family, loss.delta1_quadrature(family, b))]
         return fn
 
     return ["x", "b", "delta1"], [(f"fig3/b{b}", task(b)) for b in bits]

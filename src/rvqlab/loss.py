@@ -180,7 +180,7 @@ def delta1_appx(lam, bits: int) -> LossEstimate:
 def _deficit_integrand(lam, bits: int, deficit_cdf=None):
     """(f, breakpoints): f(u) = F(l1 - u)**m over the gain deficit u, F the
     gain-law CDF of a normalized spectrum, or the law whose G = 1 - F the
-    caller's deficit_cdf(u) gives.
+    caller's deficit_cdf(u) gives; of a stack (p, n), rows of breakpoints.
 
     f is exp(m log1p(-G)), G = 1 - F the CDF of the deficit law (spectrum
     l1 - lam), whose low tail is a sum of positive terms: G keeps its
@@ -188,31 +188,44 @@ def _deficit_integrand(lam, bits: int, deficit_cdf=None):
     loses it m-fold.  Above each panel's lower end F**m decays over no less
     than about 1/(4m) of the panel, so each panel is graded toward that end
     down to 1/m of its width: on a coarse panel every node misses the mass at
-    large m and the estimate reads 0.
+    large m and the estimate reads 0.  F**m falls as u grows: breakpoints
+    past the first where it reads 0 are moved onto it, dropping dead panels.
     """
     m = _check_bits(bits)
-    edges = lam[0] - lam
-    if edges[-1] == 0.0:
-        return np.zeros_like, [0.0, 0.0]  # flat spectrum: no loss
-    if deficit_cdf is None:
-        law = WeightedNormLaw(edges[::-1])
-        deficit_cdf = lambda u: cdf(law, u)
+    edges = lam[..., :1] - lam
+    if deficit_cdf is None:  # the knots of every deficit law, built once
+        law = WeightedNormLaw(np.atleast_2d(edges)[:, ::-1])
+        deficit_cdf = lambda u, *rows: cdf(law, u, *rows)
 
-    def f(u):
-        g = np.minimum(deficit_cdf(u), 1.0)  # rounding near l_n
+    def f(u, *rows):
+        g = np.minimum(deficit_cdf(u, *rows), 1.0)  # rounding near l_n
         with np.errstate(divide="ignore"):
             return np.exp(m * np.log1p(-g))
 
-    pts = [0.0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pts += [lo + (hi - lo) * 0.5 ** j for j in range(bits, 0, -1)] + [hi]
-    return f, pts
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    graded = np.concatenate([lo + (hi - lo) * 0.5 ** np.arange(bits, 0, -1), hi], axis=-1)
+    pts = np.concatenate([np.zeros_like(edges[..., :1]),
+                          graded.reshape(*edges.shape[:-1], -1)], axis=-1)
+    at = f(pts) if pts.ndim == 1 else f(pts, np.arange(len(pts)))
+    return f, np.minimum(pts, np.where(at == 0.0, pts, np.inf).min(axis=-1, keepdims=True))
 
 
-def delta1_quadrature(lam, bits: int, tol: float = 1e-12) -> LossEstimate:
-    """Deterministic oracle: integrate the gain-law CDF to the m-th power."""
-    f, pts = _deficit_integrand(_normalized(lam), bits)
-    return LossEstimate(integrate_piecewise(f, pts, tol=tol), "quadrature")
+def _normalized_rows(lam):
+    """``_normalized`` of one spectrum, or of each row of a stack (p, n)."""
+    return np.array([_normalized(row) for row in lam]) if np.ndim(lam) == 2 else _normalized(lam)
+
+
+def _quadrature_estimates(values):
+    """The estimate of one spectrum's value, or the list of a stack's."""
+    est = [LossEstimate(float(v), "quadrature") for v in np.atleast_1d(values)]
+    return est if np.ndim(values) else est[0]
+
+
+def delta1_quadrature(lam, bits: int, tol: float = 1e-12):
+    """Deterministic oracle: integrate the gain-law CDF to the m-th power; of
+    a stack (p, n), one estimate per row in one pass, each its own call's."""
+    f, pts = _deficit_integrand(_normalized_rows(lam), bits)
+    return _quadrature_estimates(integrate_piecewise(f, pts, tol=tol))
 
 
 def delta1_miso(n_t: int, bits: int) -> LossEstimate:
@@ -324,16 +337,19 @@ def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     return LossEstimate(delta / _LN2, "exact")
 
 
-def delta2_quadrature(lam, rho: float, bits: int, tol: float = 1e-12) -> LossEstimate:
-    """Deterministic rate-loss oracle by direct integration."""
-    scale = float(check_spectrum(lam)[0])
-    f, pts = _deficit_integrand(_normalized(lam), bits)
+def delta2_quadrature(lam, rho: float, bits: int, tol: float = 1e-12):
+    """Deterministic rate-loss oracle by direct integration; of a stack
+    (p, n) of spectra, one estimate per row, as ``delta1_quadrature``."""
+    f, pts = _deficit_integrand(_normalized_rows(lam), bits)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    rho_hat = rho * scale  # the loss depends on rho and the spectrum jointly
-    value = integrate_piecewise(lambda u: f(u) / (1.0 + rho_hat * (1.0 - u)), pts,
-                                tol=tol * _LN2 / max(rho_hat, 1.0))
-    return LossEstimate(rho_hat * value / _LN2, "quadrature")
+    rho_hat = rho * np.asarray(lam, dtype=float)[..., 0]  # rho and scale act jointly
+
+    def g(u, *rows):
+        return f(u, *rows) / (1.0 + (rho_hat[rows[0], None] if rows else rho_hat) * (1.0 - u))
+
+    value = integrate_piecewise(g, pts, tol=tol * _LN2 / np.maximum(rho_hat, 1.0))
+    return _quadrature_estimates(rho_hat * value / _LN2)
 
 
 def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:

@@ -25,7 +25,7 @@ from .loss import (LossEstimate, _check_bits, _deficit_integrand, _normalized,
                    sampled_losses)
 from .quadrature import integrate_piecewise
 from .rng import RngStream
-from .wnorm import stacked_cdf
+from .wnorm import WeightedNormLaw, cdf
 
 RANK_RTOL = 1e-12
 _NAN = float("nan")
@@ -115,13 +115,11 @@ def delta1_sk_quadrature(channel: ChannelRealization, skew: SkewMatrix, bits: in
         others = np.where(near, 1.0, knots).prod(axis=1)
         knots[near] = (np.prod(skew.eig_ata) * np.prod(lam[0] - lam - u[:, None], axis=1)
                        / others)
-        return stacked_cdf(np.sort(knots)[:, ::-1], np.zeros_like(u))
+        law = WeightedNormLaw(np.sort(knots)[:, ::-1])
+        return cdf(law, np.zeros((u.size, 1)), np.arange(u.size)).ravel()
 
     f, pts = _deficit_integrand(lam, bits, deficit_cdf)
-    # F**m falls as u grows, so the panels past its first zero add nothing
-    live = np.count_nonzero(f(np.array(pts)))
-    value = integrate_piecewise(f, pts[:live + 1] if live else pts, tol=tol)
-    return LossEstimate(value, "quadrature")
+    return LossEstimate(integrate_piecewise(f, pts, tol=tol), "quadrature")
 
 
 def delta1_sk_upper2(channel: ChannelRealization, skew: SkewMatrix, bits: int) -> LossEstimate:
@@ -147,7 +145,8 @@ def delta1_sk_upper2(channel: ChannelRealization, skew: SkewMatrix, bits: int) -
         return slack / (slack + (1.0 - u) * a_top - b)
 
     f, pts = _deficit_integrand(_normalized(channel.spectrum), bits, deficit_cdf)
-    return LossEstimate(integrate_piecewise(f, pts, tol=1e-12 * pts[-1]), "bound")
+    span = 1.0 - channel.spectrum[-1] / channel.spectrum[0]
+    return LossEstimate(integrate_piecewise(f, pts, tol=1e-12 * span), "bound")
 
 
 def dsk_factor(channel: ChannelRealization, skew: SkewMatrix) -> float:

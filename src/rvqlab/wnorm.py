@@ -7,7 +7,7 @@ Schoenberg, 1966).  ``pdf`` and ``cdf`` evaluate it for any n <= MAX_DIM by
 the de Boor-Cox recursion (de Boor, 1972), in which every step is a convex
 combination of nonnegative terms; a zero-width knot span contributes 0, so
 tied eigenvalues need no guard.  Both take a float or an array of points;
-``stacked_cdf`` takes a spectrum per point, of any sign.
+``cdf`` also takes a law over a stack of spectra, of any sign.
 The same fact samples the law: ``sample_weighted_norms`` normalizes n Exp(1)
 variables into simplex weights, and so do the plain rows of the Monte Carlo
 kernel.
@@ -27,7 +27,8 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class WeightedNormLaw:
-    """Law of the eigenweighted norm for one spectrum (descending, l1 > 0)."""
+    """Law of the eigenweighted norm for one spectrum (descending, l1 > 0),
+    or for each row of a stack (p, n) its caller has checked, for ``cdf``."""
 
     lam: np.ndarray
     # the padded knots and their inverse widths, as ``_padded_knots`` gives them
@@ -35,8 +36,9 @@ class WeightedNormLaw:
     inv_widths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = check_spectrum(self.lam, n_min=2)
-        if lam.size > MAX_DIM:
+        lam = (np.asarray(self.lam, dtype=float) if np.ndim(self.lam) == 2
+               else check_spectrum(self.lam, n_min=2))
+        if lam.shape[-1] > MAX_DIM:
             raise ValueError(f"spectrum length exceeds the cap {MAX_DIM}")
         t, inv_widths = _padded_knots(lam)
         object.__setattr__(self, "lam", lam)
@@ -45,7 +47,7 @@ class WeightedNormLaw:
 
     @property
     def n(self) -> int:
-        return self.lam.size
+        return self.lam.shape[-1]
 
     @property
     def support(self) -> tuple[float, float]:
@@ -75,11 +77,10 @@ def _splines(t, inv_widths, xs: np.ndarray, order: int):
                  if t.ndim == 1 else ((t < t[-1]).sum(axis=0), (t <= xs).sum(axis=0)))
     b = ((np.arange(k - 1)[:, None] == np.minimum(span, top) - 1)
          & (xs <= t[-1])).astype(float)
-    t = t.reshape(k, -1)
+    d = xs - t.reshape(k, -1)  # t[j] - xs is exactly -d[j]
     for r in range(2, order + 1):
         inv = inv_widths[r - 2][:k - r + 1]
-        b = ((xs - t[:k - r]) * inv[:-1] * b[:-1]
-             + (t[r:] - xs) * inv[1:] * b[1:])
+        b = d[:k - r] * inv[:-1] * b[:-1] - d[r:] * inv[1:] * b[1:]
     return b
 
 
@@ -96,24 +97,23 @@ def pdf(law: WeightedNormLaw, x):
     return _shaped((n - 1) * law.inv_widths[-1][0] * b, xs)
 
 
-def cdf(law: WeightedNormLaw, x):
+def cdf(law: WeightedNormLaw, x, rows=None):
     """Exact CDF at x, a float or an array of them: the sum of the order n
     splines on the padded knots, whose derivative telescopes to the density.
-    Each term is nonnegative, so the low tail keeps its relative precision."""
+    Each term is nonnegative, so the low tail keeps its relative precision.
+    Over a stack, x (P, q) reads row rows[i] at x[i], its knots gathered
+    once for the q points and counted; a one-row stack needs no rows, and
+    its column is searched.  Either way gives the same bits."""
     xs = np.asarray(x, dtype=float)
+    t, inv_widths = law.knots, law.inv_widths
+    if rows is not None:
+        t, *inv_widths = (np.repeat(a[:, rows], xs.shape[-1], axis=1)
+                          for a in (t, *inv_widths))
+    elif t.ndim == 2:
+        t = t[:, 0]
     flat = xs.ravel()
-    out = np.where(flat >= law.lam[0], 1.0,
-                   _splines(law.knots, law.inv_widths, flat, law.n).sum(axis=0))
+    out = np.where(flat >= t[-1], 1.0, _splines(t, inv_widths, flat, law.n).sum(axis=0))
     return _shaped(out, xs)
-
-
-def stacked_cdf(lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """CDF at xs[j] of the law of the spectrum lams[j], for a stack (p, n)
-    of descending spectra of any sign: ``cdf`` with the knots of each point
-    its own column."""
-    t, inv_widths = _padded_knots(lams)
-    return np.where(xs >= lams[:, 0], 1.0,
-                    _splines(t, inv_widths, xs, lams.shape[1]).sum(axis=0))
 
 
 def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStream) -> np.ndarray:

@@ -455,7 +455,8 @@ _TINY = {
 # theorem sum, the Gauss-Laguerre rate loss and the graded-panel integral of
 # delta2_appx, with 1 - d carried as the product prod_j (l1-l2)/(l1-lj).
 # fig1's exact CDF and fig3's oracle values are those of the de Boor-Cox
-# recursion.  fig6d's designed skews come from a search objective that
+# recursion.  Every integral sums each panel's Gauss-Legendre nodes, and a
+# row's panels, on their own, in panel order (not by a BLAS product).  fig6d's designed skews come from a search objective that
 # reads the spectra of P'(B'GB)P; at d = 1 it is flat in Q, so round-off
 # picks among equal-valued candidates.  Recorded with numpy 2.4, scipy 1.17
 # and OpenBLAS 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may
@@ -463,11 +464,11 @@ _TINY = {
 _TINY_SHA256 = {
     "fig1": "195327630152c3ddfa40937b8fe70c6d755117b98447e4c07374823cd6805f45",
     "fig2": "0b8d941915aaa540c27fdc44cc9bb89d75f4716a0fb68fd0e23ce9887427fbfe",
-    "fig3": "94a40e559373d4d9b27824f39d23272421acb17cce4c82086db680715c67c440",
+    "fig3": "9bad3fcb4d067af3032d0b8d97e3b58fcf7814f276ed1bc5902d6578d4bf4ad9",
     "fig4a": "3f63f7eee911a34943eb992f6cfaa18fd590604375fd22507524f954b530c91d",
     "fig4b": "ade0ac660b60f77543fe1482066b018f67f0fe0bdcdd0254c8af53c52b21ae3f",
-    "fig5a": "81963d5bc4c3f1ed0dcc7808bf11d098fa454058a929d5190d4ab21836e1cf00",
-    "fig5b": "ea3601ac95c3c9ca4b804feb117bbbab59a0badf4a3f2eb3565ffcabcec95c68",
+    "fig5a": "d4d92416bcd25d75762fe800b6f28f56b5e98c0f1ff6d4c080f94c99f58acc0c",
+    "fig5b": "7bbe4dc851846e99b072c6ac479a73513245bf88766d7cd2a91c963a320eed9d",
     "fig6a": "1913748b79a2d82e79fc91ceb2d37b9c10fcd6173225af6a14578ec5c58f6a8e",
     "fig6b": "f7088cb10cf49bc87fb94298ef56880c42865ce2d385a1397e64e58d69c51b19",
     "fig6c": "cdcc795b0ceae2e924f5514856527a433eed0e2c9420bb5649009bb13942a7ff",

@@ -279,11 +279,15 @@ def test_sk_asympt_scale_invariant_in_skew():
 
 
 def test_sk_asympt_tracks_monte_carlo_at_depth():
+    # the estimate bounds nothing: Monte Carlo is checked against the
+    # quadrature, and the estimate only for its documented ratio to it
     ch = diag_channel([4.0, 1.0, 1.0, 1.0])
     sk = SkewMatrix(np.eye(4))
-    asy = delta1_sk_asympt(ch, sk, 10).value
+    quad = delta1_sk_quadrature(ch, sk, 10).value
     est = delta1_sk_mc(ch, sk, 10, 300, RngStream(7).derive("deep"))
-    assert asy >= est.value - 4 * est.stderr
+    assert abs(est.value - quad) <= 4 * est.stderr
+    ratio = delta1_sk_asympt(ch, sk, 10).value / quad
+    assert np.isfinite(ratio) and 0.06 <= ratio <= 1.6
 
 
 def test_sk_asympt_ratio_to_the_loss_settles():
