@@ -211,8 +211,18 @@ def _deficit_integrand(lam, bits: int, deficit_cdf=None):
 
 
 def _normalized_rows(lam):
-    """``_normalized`` of one spectrum, or of each row of a stack (p, n)."""
-    return np.array([_normalized(row) for row in lam]) if np.ndim(lam) == 2 else _normalized(lam)
+    """``_normalized`` of one spectrum, or of each row of a stack (p, n),
+    checked at once; the first bad row raises its own call's error."""
+    if np.ndim(lam) != 2:
+        return _normalized(lam)
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        good = ((lam.shape[1] >= 2) & np.isfinite(lam).all(axis=1)
+                & (lam >= 0).all(axis=1) & (np.diff(lam, axis=1) <= 0).all(axis=1)
+                & (lam[:, :1] > 0).all(axis=1))
+    if not good.all():
+        _normalized(lam[np.argmin(good)])
+    return lam / lam[:, :1]
 
 
 def _quadrature_estimates(values):

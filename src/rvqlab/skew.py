@@ -103,7 +103,9 @@ def delta1_sk_quadrature(channel: ChannelRealization, skew: SkewMatrix, bits: in
     loss integrates F**m = (1 - G)**m as the plain oracle does, on its
     panels.  The knot nearest 0, which G's low tail reads, is det(D - uN) =
     det(N) prod_i(e_i - u), e = 1 - lam/l1, over the other knots: the
-    eigen-solve's absolute error would swamp it as u -> 0.
+    eigen-solve's absolute error would swamp it as u -> 0.  Where another
+    knot is 0 too (a tied breakpoint), the quotient is 0/0 and the solved
+    knot stays.
     """
     lam = _normalized(channel.spectrum)
     m_mat, n_mat = _pair(channel, skew)
@@ -113,8 +115,8 @@ def delta1_sk_quadrature(channel: ChannelRealization, skew: SkewMatrix, bits: in
         knots = np.linalg.eigvalsh(d_mat - u[:, None, None] * n_mat)
         near = np.abs(knots).argmin(axis=1)[:, None] == np.arange(lam.size)
         others = np.where(near, 1.0, knots).prod(axis=1)
-        knots[near] = (np.prod(skew.eig_ata) * np.prod(lam[0] - lam - u[:, None], axis=1)
-                       / others)
+        det = np.prod(skew.eig_ata) * np.prod(lam[0] - lam - u[:, None], axis=1)
+        knots[near] = np.divide(det, others, out=knots[near], where=others != 0)
         law = WeightedNormLaw(np.sort(knots)[:, ::-1])
         return cdf(law, np.zeros((u.size, 1)), np.arange(u.size)).ravel()
 

@@ -8,9 +8,10 @@ the de Boor-Cox recursion (de Boor, 1972), in which every step is a convex
 combination of nonnegative terms; a zero-width knot span contributes 0, so
 tied eigenvalues need no guard.  Both take a float or an array of points;
 ``cdf`` also takes a law over a stack of spectra, of any sign.
-The same fact samples the law: ``sample_weighted_norms`` normalizes n Exp(1)
-variables into simplex weights, and so do the plain rows of the Monte Carlo
-kernel.
+The same fact samples the law: ``sample_weighted_norms`` takes its draws from
+the Monte Carlo kernel, as the plain rows of one-codeword codebooks, whose
+simplex weights are the spacings of sorted uniforms (or, at many antennas,
+normalized Exp(1) draws).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codebook import best_quotients
 from .linalg import MAX_DIM, check_spectrum
 from .rng import RngStream
 
@@ -117,16 +119,16 @@ def cdf(law: WeightedNormLaw, x, rows=None):
 
 
 def sample_weighted_norms(law: WeightedNormLaw, n_samples: int, stream: RngStream) -> np.ndarray:
-    """Draw eigenweighted norms; fixed chunking keeps the result independent
-    of worker layout (chunk c always uses the substream derived with key c)."""
+    """Draw eigenweighted norms, the Monte Carlo kernel's plain rows of
+    one-codeword codebooks; fixed chunking keeps the result independent of
+    worker layout (chunk c always uses the substream derived with key c)."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     out = np.empty(n_samples)
     for chunk_idx, pos in enumerate(range(0, n_samples, _CHUNK)):
         take = min(_CHUNK, n_samples - pos)
-        e = stream.derive(chunk_idx).generator().standard_exponential((law.n, take))
-        out[pos:pos + take] = law.lam @ e
-        out[pos:pos + take] /= e.sum(axis=0)
+        gens = (stream.derive(chunk_idx).generator(), None)
+        out[pos:pos + take] = best_quotients(law.lam[None], [None], 0, take, gens)[0, 0]
     return out
 
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 
 from rvqlab.channel import ChannelRealization
-from rvqlab.codebook import best_quotients, codeword_generators
+from rvqlab.codebook import _SORT_MAX, best_quotients, codeword_generators
 from rvqlab.errors import ResourceLimitError
 from rvqlab.linalg import hermitian_eig
 
@@ -72,18 +72,25 @@ def standard_basis_quotients(pairs, bits, n_codebooks, stream):
 
 
 def stream_generators(stream):
-    """The kernel's two generators of one stream, spelled out: Exp(1)
-    weights from the stream itself, phases from its "phase" child."""
+    """The kernel's two generators of one stream, spelled out: the weights'
+    draws from the stream itself, phases from its "phase" child."""
     return stream.generator(), stream.derive("phase").generator()
 
 
 def slice_codewords(gens, u, cols):
     """The kernel's next cols codewords f = U g of one channel, as a (cols, n)
-    complex array: |g_i|^2 are (n, cols) Exp(1) draws and g_i / |g_i| =
-    z_i / |z_i| the phases of (2, n, cols) normals z."""
+    complex array: |g_i|^2 are the spacings, from 0 to 1, of (n - 1, cols)
+    uniforms, each column put in order by np.sort, or past ``_SORT_MAX``
+    antennas (n, cols) Exp(1) draws; g_i / |g_i| = z_i / |z_i| are the phases
+    of (2, n, cols) normals z."""
     weights, phases = gens
-    e = weights.standard_exponential((u.shape[0], cols))
-    z = phases.standard_normal((2, u.shape[0], cols))
+    n = u.shape[0]
+    if n <= _SORT_MAX:
+        s = np.sort(weights.random((n - 1, cols)), axis=0)
+        e = np.diff(s, axis=0, prepend=0.0, append=1.0)
+    else:
+        e = weights.standard_exponential((n, cols))
+    z = phases.standard_normal((2, n, cols))
     z = z[0] + 1j * z[1]
     return np.einsum("ij,jc->ci", u, np.sqrt(e) * z / np.abs(z))
 

@@ -74,8 +74,11 @@ def test_metric_improves_with_bits():
 
 
 # the laws below come from wnorm's B-spline CDF, not from the kernel's
-# arithmetic; a KS statistic above 1.63 / sqrt(N) has 1% probability
-_LAWS = {3: [3.0, 1.2, 0.5], 4: [4.0, 2.5, 1.0, 0.2]}
+# arithmetic; a KS statistic above 1.63 / sqrt(N) has 1% probability.  Up
+# to n = 8 the kernel sorts uniforms, at n = 16 it normalizes Exp(1) draws
+_LAWS = {2: [2.0, 0.5], 3: [3.0, 1.2, 0.5], 4: [4.0, 2.5, 1.0, 0.2],
+         8: [5.0, 4.0, 4.0, 2.5, 1.5, 1.0, 0.3, 0.0],
+         16: list(np.linspace(3.0, 0.2, 16))}
 
 
 def _rotated_gram(lam, name):

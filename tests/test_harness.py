@@ -444,13 +444,15 @@ _TINY = {
 # in one stacked draw, and its codewords from the "codebooks" child, channel
 # after channel, in one kernel call.  A one-channel loss reads its codewords
 # from its own stream.  The kernel draws each codeword on its Gram's
-# eigenbasis: n Exp(1) weights, which alone give a plain RVQ row, and, when
-# a skew shares the call, the phases of normals from a "phase" child
-# stream.  A slice lays its codewords out codeword-major, codebook t taking
-# every take-th column from t.  A skewed row is one batched real matrix
-# product per slice on the embeddings [[Re M, -Im M], [Im M, Re M]], so its
-# bytes also depend on the BLAS GEMM kernel.  fig1's empirical CDF draws its
-# weights the same way.  The closed-form columns of fig2, fig5a and fig5b
+# eigenbasis: simplex weights, the spacings of n - 1 sorted uniforms (n
+# Exp(1) draws, normalized, past 8 antennas), which alone give a plain RVQ
+# row, and, when a skew shares the call, the phases of normals from a
+# "phase" child stream.  A slice lays its codewords out codeword-major,
+# codebook t taking every take-th column from t.  A skewed row is one
+# batched real matrix product per slice on the embeddings
+# [[Re M, -Im M], [Im M, Re M]], so its bytes also depend on the BLAS GEMM
+# kernel.  fig1's empirical CDF is the kernel's plain rows of one-codeword
+# codebooks.  The closed-form columns of fig2, fig5a and fig5b
 # (and of the sliced fig2 pin below) are those of the incomplete-beta
 # theorem sum, the Gauss-Laguerre rate loss and the graded-panel integral of
 # delta2_appx, with 1 - d carried as the product prod_j (l1-l2)/(l1-lj).
@@ -462,18 +464,18 @@ _TINY = {
 # and OpenBLAS 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may
 # round differently.
 _TINY_SHA256 = {
-    "fig1": "195327630152c3ddfa40937b8fe70c6d755117b98447e4c07374823cd6805f45",
-    "fig2": "0b8d941915aaa540c27fdc44cc9bb89d75f4716a0fb68fd0e23ce9887427fbfe",
+    "fig1": "cd491fb43195268a4ee651b9931a45a99e5b247d882ee397e4de5f4ec4e1f952",
+    "fig2": "87b16c12efda1ae86678fd2630bd7723cddfee6690722eb455cefcdc8f406b85",
     "fig3": "9bad3fcb4d067af3032d0b8d97e3b58fcf7814f276ed1bc5902d6578d4bf4ad9",
-    "fig4a": "3f63f7eee911a34943eb992f6cfaa18fd590604375fd22507524f954b530c91d",
-    "fig4b": "ade0ac660b60f77543fe1482066b018f67f0fe0bdcdd0254c8af53c52b21ae3f",
-    "fig5a": "d4d92416bcd25d75762fe800b6f28f56b5e98c0f1ff6d4c080f94c99f58acc0c",
-    "fig5b": "7bbe4dc851846e99b072c6ac479a73513245bf88766d7cd2a91c963a320eed9d",
-    "fig6a": "1913748b79a2d82e79fc91ceb2d37b9c10fcd6173225af6a14578ec5c58f6a8e",
-    "fig6b": "f7088cb10cf49bc87fb94298ef56880c42865ce2d385a1397e64e58d69c51b19",
-    "fig6c": "cdcc795b0ceae2e924f5514856527a433eed0e2c9420bb5649009bb13942a7ff",
-    "fig6d": "d62336048c5a2e0fd229491a10967d461f61e6ac58cfd312a37576a07ee223aa",
-    "custom": "d2dd446516859fcd835f09172216c9e383034e54860c11d5688ffbdf3e2400cd",
+    "fig4a": "e17ddf3d5b7d6f431324c3073d4316bcd45a1e79d87253f4ad14a2d31a1cf17d",
+    "fig4b": "258c84375461233c40dd057b7ad4e9a61ccac14de5177973f6ae35e64faca912",
+    "fig5a": "1c4f32a540a254836028a21f97ce87aadcaf1072b3e8f0e7f84027be4b2d3b7f",
+    "fig5b": "9270ac77718e3fe8f3c6ef2f99fc482fea48a692eb294c647c3680a4f79e35e0",
+    "fig6a": "b56d6a203dac5d3b0e43df6121964b5422af6677b1a612bdf716b41b0959faf3",
+    "fig6b": "0a4647e02c9eaf61743cd319619d127d8a4b48f6d0ee14261a9372334fa04313",
+    "fig6c": "ec6ad1e4a0cff94f1ae24a5cd4315cd4c04c900358ef52f2668e11415c5fd480",
+    "fig6d": "3b2a6a794867c6f501168f004a5c698ca67e7715a641ab32876829279d8e1cd5",
+    "custom": "949f56667e87a1c668175b472dbf953f20a527f1109dcffef25c7723772fa800",
 }
 
 
@@ -501,4 +503,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "9e1a761dfa7f02f44b221d6ac5425a1f454d57dec065dbc5953189156f194c55")
+        "41ce3fc8a1c5d679272151f5d01743c109ab96c55a2eb0bf3a78bbd0cf163123")

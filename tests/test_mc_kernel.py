@@ -11,7 +11,7 @@ from helpers import (codeword_basis, complex_gaussian, diag_channel,
                      selected_gains, standard_basis_quotients,
                      standard_basis_stack)
 from rvqlab.channel import KroneckerModel
-from rvqlab.codebook import group_width
+from rvqlab.codebook import _transposition_sort, group_width
 from rvqlab import loss as loss_module
 from rvqlab.harness import _fig4_model, skew_candidates_avg
 from rvqlab.loss import (avg_delta_mi, avg_delta_snr, channel_averaged_losses,
@@ -45,9 +45,19 @@ class _RecordingGenerator:
         self.draws.append(("standard_normal", size if out is None else out.shape))
         return self.gen.standard_normal(size, out=out)
 
-    def standard_exponential(self, size=None, out=None):
-        self.draws.append(("standard_exponential", size if out is None else out.shape))
-        return self.gen.standard_exponential(size, out=out)
+    def random(self, size=None, out=None):
+        self.draws.append(("random", size if out is None else out.shape))
+        return self.gen.random(size, out=out)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_transposition_network_equals_np_sort(k):
+    # continuous columns, then columns of a four-value grid, many of them tied
+    gen = RngStream(61).derive(f"network{k}").generator()
+    for s in (gen.random((3, k, 400)), np.floor(4 * gen.random((3, k, 400))) / 4):
+        want = np.sort(s, axis=1)
+        _transposition_sort(s, np.empty(k // 2 * 3 * 400))
+        np.testing.assert_array_equal(s, want)
 
 
 def _quotient_pairs(n):
@@ -64,14 +74,14 @@ def test_codebooks_are_drawn_in_slices():
         pairs = _quotient_pairs(n)
         stream = RngStream(9).derive(f"sliced{n}")
         # plain RVQ with a skew, then plain RVQ alone: it draws no normals
-        for call, kinds in ((pairs, {"standard_exponential", "standard_normal"}),
-                            (pairs[:1], {"standard_exponential"})):
+        for call, kinds in ((pairs, {"random", "standard_normal"}),
+                            (pairs[:1], {"random"})):
             draws = []
             got = standard_basis_quotients(call, bits, n_codebooks,
                                  _RecordingStream(stream, draws))
             assert {kind for kind, _ in draws} == kinds
             # each codebook is larger than the block, so it is drawn in slices
-            assert sum(kind == "standard_exponential" for kind, _ in draws) > n_codebooks
+            assert sum(kind == "random" for kind, _ in draws) > n_codebooks
             assert all(shape[-1] < 1 << bits for _, shape in draws)
             np.testing.assert_allclose(
                 got, einsum_best_quotients(call, bits, n_codebooks, stream),

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ def test_quadrature_of_identity_and_unitary_skews_is_the_plain_oracle():
             for sk in skews:
                 got = delta1_sk_quadrature(ch, sk, bits).value
                 assert abs(got - want) <= 1e-12 * want, (n, bits)
+
+
+def test_quadrature_at_a_tied_breakpoint_warns_nothing():
+    # at u = 0.75 three knots of [4, 1, 1, 1] are 0, so the determinant knot
+    # reads 0/0 unless guarded
+    ch = diag_channel([4.0, 1.0, 1.0, 1.0])
+    want = delta1_quadrature(ch.spectrum, 10).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = delta1_sk_quadrature(ch, SkewMatrix(np.eye(4)), 10).value
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_quadrature_at_high_bits_raises_nothing():
