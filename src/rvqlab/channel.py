@@ -200,31 +200,15 @@ def normalize_power(model: ChannelModel, rho_c: float) -> ChannelModel:
     return FixedSpectrumModel(lam=model.lam * scale, n_r=model.n_r, frozen=model.frozen)
 
 
-@dataclass(frozen=True)
-class CovariancePair:
-    sigma_t: np.ndarray
-    sigma_r: np.ndarray
-
-
-def transmit_covariance(model: ChannelModel) -> CovariancePair:
-    """Exact E[H*H] and E[HH*] matrices implied by the sampling convention."""
+def transmit_covariance(model: ChannelModel) -> np.ndarray:
+    """Exact E[H*H] matrix implied by the sampling convention."""
     if isinstance(model, IIDModel):
-        return CovariancePair(sigma_t=model.n_r * np.eye(model.n_t, dtype=complex),
-                              sigma_r=model.n_t * np.eye(model.n_r, dtype=complex))
+        return model.n_r * np.eye(model.n_t, dtype=complex)
     if isinstance(model, KroneckerModel):
         ut = np.eye(model.n_t, dtype=complex) if model.u_t is None else model.u_t
-        ur = np.eye(model.n_r, dtype=complex) if model.u_r is None else model.u_r
-        st = model.lambda_r.sum() * (ut * model.lambda_t) @ ut.conj().T
-        sr = model.lambda_t.sum() * (ur * model.lambda_r) @ ur.conj().T
-        return CovariancePair(sigma_t=st, sigma_r=sr)
+        return model.lambda_r.sum() * (ut * model.lambda_t) @ ut.conj().T
     if isinstance(model, FixedSpectrumModel):
         if model.frozen:
-            st = np.diag(model.lam).astype(complex)
-            sr = np.zeros((model.n_r, model.n_r), dtype=complex)
-            sr[:model.n_t, :model.n_t] = np.diag(model.lam)
-            return CovariancePair(sigma_t=st, sigma_r=sr)
-        st = (model.lam.sum() / model.n_t) * np.eye(model.n_t, dtype=complex)
-        sr = (model.lam.sum() / model.n_r) * np.eye(model.n_r, dtype=complex)
-        return CovariancePair(sigma_t=st, sigma_r=sr)
+            return np.diag(model.lam).astype(complex)
+        return (model.lam.sum() / model.n_t) * np.eye(model.n_t, dtype=complex)
     raise UnsupportedModelError(f"unknown channel model {type(model)!r}")
-

@@ -331,16 +331,11 @@ def _build_fig5b(config, bits, codebooks):
     return ["n_t", "rho", "b", "delta2_mc", "stderr", "delta2_closed"], tasks
 
 
-def _build_fig6_frozen(config, bits, codebooks, samples, lam):
-    """fig6a/fig6b: skews designed for one frozen channel of spectrum lam."""
+def _build_fig6_frozen(config, bits, codebooks, lam):
+    """fig6a/fig6b: closed-form a1 skews for one frozen channel of spectrum lam."""
     ch = _frozen_realization(lam)
-    model = FixedSpectrumModel(lam=np.asarray(lam, dtype=float), frozen=True)
-    candidates = [("rvq", None, "")]
-    seed_stream = RngStream(config.seed).derive(f"{config.experiment}-design")
-    for alpha in _ALPHA_GRID:
-        res = skew.optimize_skew_a1(model, alpha, 1,
-                                    seed_stream.derive(f"alpha{alpha}"), samples)
-        candidates.append(("a1", res.skew.a, alpha))
+    candidates = [("rvq", None, "")] + [
+        ("a1", skew.closed_form_skew_a1(ch, alpha).skew.a, alpha) for alpha in _ALPHA_GRID]
 
     def task(b):
         def fn(stream):
@@ -439,9 +434,9 @@ _PRESETS = {
     "fig5b": _Preset(_build_fig5b, (4,), {"codebooks": 1000}, closed_form=True,
                      single_b=True),
     "fig6a": _Preset(partial(_build_fig6_frozen, lam=[4.0, 3.0, 2.0, 1.0]),
-                     range(1, 7), {"codebooks": 1000, "samples": 1600}),
+                     range(1, 7), {"codebooks": 1000}),
     "fig6b": _Preset(partial(_build_fig6_frozen, lam=[1.6, 1.4, 1.2, 1.0]),
-                     range(1, 7), {"codebooks": 1000, "samples": 1600}),
+                     range(1, 7), {"codebooks": 1000}),
     "fig6c": _Preset(_build_fig6c, (1, 4), {"channels": 400, "codebooks": 100}),
     "fig6d": _Preset(_build_fig6d, range(1, 7),
                      {"channels": 1000, "codebooks": 100, "samples": 2400}),

@@ -61,7 +61,6 @@ class QuantizationFactors:
 
     m: int
     a_n: float      # 1 / (m (n-1) + 1)
-    p: float        # 2/(n-1) - 1
     d: float        # 1 - prod_j (l1-l2)/(l1-lj), the decay base
     c: float        # 1 - d as the product itself: d rounds to 1 for n >= 4
     kappa: float    # Gamma(1/(n-1))
@@ -137,7 +136,7 @@ def quantization_factors(lam, bits: int) -> QuantizationFactors:
     _require_gap12(lam)
     c = float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
     q = 1.0 / (n - 1)
-    return QuantizationFactors(m=m, a_n=q / (m + q), p=2.0 * q - 1.0, d=1.0 - c,
+    return QuantizationFactors(m=m, a_n=q / (m + q), d=1.0 - c,
                                c=c, kappa=math.gamma(q))
 
 

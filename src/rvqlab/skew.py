@@ -286,6 +286,26 @@ def build_skew_a2(sigma_t: np.ndarray, alpha: float, beta: float) -> SkewMatrix:
     return SkewMatrix((u * mix) @ u.conj().T)
 
 
+def closed_form_skew_a1(channel: ChannelRealization, alpha: float) -> SkewSearchResult:
+    """The skew minimizing alpha m1 + (1-alpha) m2 on one full-rank channel G.
+
+    With x = mu1/(a1 l1) in [ln/l1, 1], m1 = 1 - x and m2 >= x l1/ln, and the
+    whitener G^(-1/2) (x = ln/l1, m2 = 1) and the identity (x = 1) attain the
+    ends of that linear bound; a tie goes to the whitener.  At alpha = 1 the
+    identity, the limit of the minimizers as alpha -> 1, has the least m2 of
+    all skews with m1 = 0.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    top, low = float(channel.spectrum[0]), float(channel.spectrum[-1])
+    if not low >= RANK_RTOL * top > 0.0:
+        raise SingularCovarianceError("closed form needs a full-rank channel")
+    whitened, plain = alpha * (1.0 - low / top) + 1.0 - alpha, (1.0 - alpha) * (top / low)
+    if whitened <= plain:
+        return SkewSearchResult(build_skew_a2(channel.gram, 0.0, 0.0), whitened, 0)
+    return SkewSearchResult(SkewMatrix(np.eye(channel.n_t)), plain, 0)
+
+
 # ---------------------------------------------------------------------------
 # direct search over skewing matrices
 
@@ -388,7 +408,7 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     dim = grams.shape[1]
     mean_gram = sum(grams) / len(grams)
     eig_mean = hermitian_eig(mean_gram)
-    es = hermitian_eig(transmit_covariance(model).sigma_t)
+    es = hermitian_eig(transmit_covariance(model))
     sv = np.clip(es.values, 1e-12 * max(es.values[0], 1e-300), None)
     vals = np.clip(eig_mean.values, 1e-12 * eig_mean.values[0], None)
     bases = [np.eye(dim, dtype=complex), (es.vectors * np.sqrt(sv)) @ es.vectors.conj().T,

@@ -86,8 +86,8 @@ _READS = {
               "trials.codebooks": 100},
     "fig5a": {"bits_range": _R8, "rho": 1.0, "trials.codebooks": 1000},
     "fig5b": {"bits_range": [4], "trials.codebooks": 1000},
-    "fig6a": {"bits_range": _R6, "trials.codebooks": 1000, "trials.samples": 1600},
-    "fig6b": {"bits_range": _R6, "trials.codebooks": 1000, "trials.samples": 1600},
+    "fig6a": {"bits_range": _R6, "trials.codebooks": 1000},
+    "fig6b": {"bits_range": _R6, "trials.codebooks": 1000},
     "fig6c": {"bits_range": [1, 4], "trials.channels": 400, "trials.codebooks": 100},
     "fig6d": {"bits_range": _R6, "trials.channels": 1000, "trials.codebooks": 100,
               "trials.samples": 2400},
@@ -400,21 +400,31 @@ print(json.dumps([out[0] == out[1], hashlib.sha256(out[0]).hexdigest(),
 
 
 def test_a_sampled_preset_never_loads_scipy_special(tmp_path):
-    # fig4b reads no closed form; were betainc's import back at module level,
-    # every Monte Carlo run would carry scipy.special's memory
-    fig4b = ExperimentConfig(experiment="fig4b", seed=3, threads=2,
-                             output_dir="out", **_TINY["fig4b"])
+    # fig4b reads no closed form, and fig6a and fig6b take their skews in
+    # closed form: were betainc's import back at module level, or a search
+    # back in the frozen-channel presets, every such run would carry
+    # scipy.special's or scipy.optimize's memory
+    configs = [ExperimentConfig(experiment=preset, seed=3, output_dir=preset,
+                                threads=2 if preset == "fig4b" else 1,
+                                **_TINY[preset]).to_json()
+               for preset in ("fig4b", "fig6a", "fig6b")]
     probe = f"""
 import hashlib, json, sys
 from pathlib import Path
 from rvqlab.harness import ExperimentConfig, run
-run(ExperimentConfig.from_json({fig4b.to_json()!r}))
-print(json.dumps(["scipy.special" in sys.modules, hashlib.sha256(
-    Path("out", "fig4b.csv").read_bytes()).hexdigest()]))
+out = []
+for text in {configs!r}:
+    config = ExperimentConfig.from_json(text)
+    run(config)
+    out.append([config.experiment, "scipy.special" in sys.modules,
+                "scipy.optimize" in sys.modules, hashlib.sha256(Path(
+                    config.output_dir, config.experiment + ".csv").read_bytes()).hexdigest()])
+print(json.dumps(out))
 """
     proc = _fresh_python("-c", probe, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, _TINY_SHA256["fig4b"]]
+    assert json.loads(proc.stdout) == [[preset, False, False, _TINY_SHA256[preset]]
+                                       for preset in ("fig4b", "fig6a", "fig6b")]
 
 
 _IID = {"kind": "iid", "n_t": 3, "n_r": 2}
@@ -426,8 +436,8 @@ _TINY = {
     "fig4b": dict(bits_range=[1, 2], trials={"channels": 2, "codebooks": 4}),
     "fig5a": dict(bits_range=[1, 2], trials={"codebooks": 4}),
     "fig5b": dict(bits_range=[2], trials={"codebooks": 4}),
-    "fig6a": dict(bits_range=[1, 2], trials={"codebooks": 4, "samples": 16}),
-    "fig6b": dict(bits_range=[1, 2], trials={"codebooks": 4, "samples": 16}),
+    "fig6a": dict(bits_range=[1, 2], trials={"codebooks": 4}),
+    "fig6b": dict(bits_range=[1, 2], trials={"codebooks": 4}),
     # 300 codebooks at b=6 span two kernel chunks
     "fig6c": dict(bits_range=[1, 6], trials={"channels": 2, "codebooks": 300}),
     "fig6d": dict(bits_range=[1, 2],
@@ -460,9 +470,12 @@ _TINY = {
 # recursion.  Every integral sums each panel's Gauss-Legendre nodes, and a
 # row's panels, on their own, in panel order (not by a BLAS product).  fig6d's designed skews come from a search objective that
 # reads the spectra of P'(B'GB)P; at d = 1 it is flat in Q, so round-off
-# picks among equal-valued candidates.  Recorded with numpy 2.4, scipy 1.17
-# and OpenBLAS 0.3.31 (Haswell kernels) on x86-64: another libm or BLAS may
-# round differently.
+# picks among equal-valued candidates.  fig6a and fig6b take their skews in
+# closed form, the whitener or the identity; their tiny pins do not reach
+# the alpha = 1 degeneracy, where every skew with m1 = 0 is optimal and a
+# long enough search stops on one whose m1 rounds below 0.
+# Recorded with numpy 2.4, scipy 1.17 and OpenBLAS 0.3.31 (Haswell kernels)
+# on x86-64: another libm or BLAS may round differently.
 _TINY_SHA256 = {
     "fig1": "cd491fb43195268a4ee651b9931a45a99e5b247d882ee397e4de5f4ec4e1f952",
     "fig2": "87b16c12efda1ae86678fd2630bd7723cddfee6690722eb455cefcdc8f406b85",

@@ -19,10 +19,10 @@ from rvqlab.harness import _FIG6_MODEL, _FIG6_SIGMA_T
 from rvqlab.linalg import hermitian_eig
 from rvqlab.loss import delta1_exact, delta1_mc, delta1_quadrature
 from rvqlab.rng import RngStream, sample_unitary
-from rvqlab.skew import (SkewMatrix, build_skew_a2, delta1_sk_asympt,
-                         delta1_sk_mc, delta1_sk_partial3, delta1_sk_quadrature,
-                         delta1_sk_upper2, dsk_factor, optimize_skew_a1,
-                         skew_diagnostics)
+from rvqlab.skew import (SkewMatrix, build_skew_a2, closed_form_skew_a1,
+                         delta1_sk_asympt, delta1_sk_mc, delta1_sk_partial3,
+                         delta1_sk_quadrature, delta1_sk_upper2, dsk_factor,
+                         optimize_skew_a1, skew_diagnostics)
 
 
 def _gen(name):
@@ -583,3 +583,62 @@ def test_search_matches_the_loop_on_a_frozen_channel(lam):
     for alpha in (0.0, 0.5, 1.0):
         stream = RngStream(7).derive("fig6a-design").derive(f"alpha{alpha}")
         _search_against_loop(model, alpha, 1, stream, 160)
+
+
+# ---------------------------------------------------------------------------
+# the one-channel design in closed form
+
+
+def _closed_form_cases(count):
+    """(spectrum, alpha): full-rank spectra of 2-5 antennas, alpha cycling
+    through 0, 1 and a uniform draw between."""
+    rng = np.random.default_rng(19)
+    for i in range(count):
+        lam = np.sort(rng.uniform(0.05, 4.0, 2 + i % 4))[::-1]
+        yield lam, (0.0, 1.0, rng.uniform())[i % 3]
+
+
+def test_closed_form_is_never_beaten_by_the_search():
+    # at alpha = 1 the optimum is 0 and the search reports about -7e-16,
+    # hence the absolute floor
+    for i, (lam, alpha) in enumerate(_closed_form_cases(40)):
+        model = FixedSpectrumModel(lam, frozen=True)
+        ch = sample_channel(model, _gen("closed"))
+        got = closed_form_skew_a1(ch, alpha)
+        assert got.n_evals == 0
+        stream = RngStream(23).derive(f"case{i}")
+        found = optimize_skew_a1(model, alpha, 1, stream, 800)
+        assert found.objective >= got.objective - 1e-9 * max(1.0, got.objective)
+        # the reported value is the reference loop's, as the search's is
+        a = got.skew.a
+        want = loop_skew_objective([ch.gram], [ch.spectrum[0]], alpha)(a)
+        mu = np.linalg.eigvalsh(a.conj().T @ ch.gram @ a)
+        spread = mu[-1] / mu[0]
+        assert abs(got.objective - want) <= 8.0 * np.finfo(float).eps * spread * abs(want)
+
+
+def test_closed_form_tie_goes_to_the_whitener():
+    ch = diag_channel([2.0, 2.0, 2.0])
+    for alpha in (0.0, 0.5, 1.0):
+        got = closed_form_skew_a1(ch, alpha)
+        np.testing.assert_array_equal(got.skew.a, build_skew_a2(ch.gram, 0.0, 0.0).a)
+        assert np.allclose(got.skew.a, np.eye(3) / math.sqrt(2.0))
+        assert got.objective == pytest.approx(1.0 - alpha, abs=1e-15)
+
+
+def test_closed_form_at_alpha_one_is_the_identity():
+    ch = diag_channel([4.0, 3.0, 2.0, 1.0])
+    got = closed_form_skew_a1(ch, 1.0)
+    np.testing.assert_array_equal(got.skew.a, np.eye(4))
+    assert got.objective == 0.0
+    # on [4, 3, 2, 1] the whitener wins exactly while 1 - alpha/4 <= 4 (1 - alpha)
+    assert np.allclose(closed_form_skew_a1(ch, 0.85).skew.a, np.eye(4))
+    assert np.allclose(closed_form_skew_a1(ch, 0.75).skew.a,
+                       np.diag(np.array([4.0, 3.0, 2.0, 1.0]) ** -0.5))
+
+
+def test_closed_form_guards():
+    with pytest.raises(ValueError):
+        closed_form_skew_a1(diag_channel([2.0, 1.0]), 1.5)
+    with pytest.raises(SingularCovarianceError):
+        closed_form_skew_a1(diag_channel([2.0, 0.0]), 0.5)
