@@ -16,7 +16,8 @@ import numpy as np
 from rvqlab.channel import KroneckerModel, sample_channel
 from rvqlab.loss import delta1_exact, delta1_mc
 from rvqlab.rng import RngStream, sample_unitary
-from rvqlab.skew import SkewMatrix, build_skew_a2, delta1_sk_mc, delta1_sk_quadrature
+from rvqlab.skew import (SkewMatrix, build_skew_a2, delta1_sk_asympt, delta1_sk_mc,
+                         delta1_sk_quadrature)
 
 
 def main(argv=None):
@@ -68,6 +69,15 @@ def main(argv=None):
         exact = delta1_sk_quadrature(ch, skew, b).value
         est = delta1_sk_mc(ch, skew, b, args.codebooks * 20, stream.derive("check").derive(b))
         print(f"  {b:4d}   {exact:9.5f}     {est.value:9.5f} ({est.stderr:.5f})")
+    print()
+
+    print("at high resolution the skew acts through det W (u1'W^-1 u1)^n, W = AA':")
+    print("  bits   quadrature    high-res law   ratio")
+    for b in (12, 18, 24):
+        exact = delta1_sk_quadrature(ch, skew, b).value
+        law = delta1_sk_asympt(ch, skew, b).value
+        print(f"  {b:4d}   {exact:.5e}   {law:.5e}    {law / exact:.4f}")
+
 
 if __name__ == "__main__":
     main()

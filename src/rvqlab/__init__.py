@@ -18,5 +18,5 @@ from .ordering import majorize_compare, schur_family, verify_schur
 from .rng import RngStream, sample_unitary
 from .skew import (SkewMatrix, build_skew_a2, closed_form_skew_a1,
                    delta1_sk_asympt, delta1_sk_mc, delta1_sk_quadrature,
-                   delta1_sk_upper2, dsk_factor, optimize_skew_a1, skew_diagnostics)
+                   delta1_sk_upper2, optimize_skew_a1, skew_diagnostics)
 from .wnorm import WeightedNormLaw, cdf, pdf, sample_weighted_norms

@@ -374,8 +374,11 @@ def _build_fig6c(config, bits, channels, codebooks):
 
 def _build_fig6d(config, bits, channels, codebooks, samples):
     design = RngStream(config.seed).derive("fig6d-design")
-    candidates = [("rvq", None, "", "")]
-    for alpha in (1.0, 0.5, 0.0):
+    # every skew has m1 >= 0 and the identity m1 = 0: it is the alpha = 1
+    # minimizer, the limit of the minimizers as alpha -> 1
+    candidates = [("rvq", None, "", ""),
+                  ("a1", skew.SkewMatrix(np.eye(_FIG6_MODEL.n_t)), 1.0, "")]
+    for alpha in (0.5, 0.0):
         res = skew.optimize_skew_a1(_FIG6_MODEL, alpha, 64,
                                     design.derive(f"alpha{alpha}"), samples)
         candidates.append(("a1", res.skew, alpha, ""))

@@ -335,3 +335,23 @@ def mpmath_skew_loss(gram, a, bits, dps=40):
             return cdf(-low) ** m
 
         return mp.quad(integrand, sorted(set(lam))) / lam[0]
+
+
+def paper_sk_estimate(channel, skew, bits):
+    """The paper's large-codebook estimate of the skewed loss, n >= 4: the
+    rate 2**(-B/(n-1)) with the constant Gamma(q) q (1 + d/((1-d)(n-1)))
+    (mu1/(a1 l1) - ln/l1), q = 1/(n-1), mu = eig(A'GA) and a1 the top
+    eigenvalue of A'A, through the decay base d = 1 - prod_{j>=2}
+    (mu1 - ln a1)/(mu1 - mu_j).  It settles at a constant that is not the
+    loss's, so it is kept here only as the reference the README compares
+    ``skew.delta1_sk_asympt`` with."""
+    n = channel.n_t
+    assert n >= 4
+    lam = channel.spectrum
+    a = skew.a
+    mu = hermitian_eig(a.conj().T @ channel.gram @ a, vectors=False).values
+    a1 = skew.eig_ata[0]
+    d_sk = 1.0 - np.prod((mu[0] - lam[-1] * a1) / (mu[0] - mu[1:]))
+    bracket = mu[0] / (a1 * lam[0]) - lam[-1] / lam[0]
+    return float(math.gamma(1.0 / (n - 1)) * 2.0 ** (-bits / (n - 1.0)) / (n - 1.0)
+                 * (1.0 + d_sk / ((1.0 - d_sk) * (n - 1.0))) * bracket)

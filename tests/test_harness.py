@@ -468,9 +468,10 @@ _TINY = {
 # delta2_appx, with 1 - d carried as the product prod_j (l1-l2)/(l1-lj).
 # fig1's exact CDF and fig3's oracle values are those of the de Boor-Cox
 # recursion.  Every integral sums each panel's Gauss-Legendre nodes, and a
-# row's panels, on their own, in panel order (not by a BLAS product).  fig6d's designed skews come from a search objective that
+# row's panels, on their own, in panel order (not by a BLAS product).  fig6d's alpha = 0.5 and 0 skews come from a search objective that
 # reads the spectra of P'(B'GB)P; at d = 1 it is flat in Q, so round-off
-# picks among equal-valued candidates.  fig6a and fig6b take their skews in
+# picks among equal-valued candidates; its alpha = 1 skew is the identity.
+# fig6a and fig6b take their skews in
 # closed form, the whitener or the identity; their tiny pins do not reach
 # the alpha = 1 degeneracy, where every skew with m1 = 0 is optimal and a
 # long enough search stops on one whose m1 rounds below 0.

@@ -23,10 +23,11 @@ _SPEC.loader.exec_module(tracing)
     # 4 rank profiles x bits 1-2; 2 channels x 4 codebooks << b per task
     ("fig4b", dict(bits_range=[1, 2], trials={"channels": 2, "codebooks": 4}),
      8, {"loss.avg_delta_mi": 8}, 4 * (8 << 1) + 4 * (8 << 2)),
-    # bits 1-2, three optimized skews designed once before the tasks run
+    # bits 1-2, two optimized skews (alpha = 0.5 and 0; alpha = 1 is the
+    # identity) designed once before the tasks run
     ("fig6d", dict(bits_range=[1, 2],
                    trials={"channels": 2, "codebooks": 4, "samples": 16}),
-     2, {"harness.skew_candidates_avg": 2, "skew.optimize_skew_a1": 3},
+     2, {"harness.skew_candidates_avg": 2, "skew.optimize_skew_a1": 2},
      (8 << 1) + (8 << 2)),
 ])
 def test_tracer_sees_the_harness_layers(tmp_path, preset, sizes, tasks, calls,
