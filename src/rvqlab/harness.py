@@ -193,13 +193,22 @@ def _frozen_realization(lam):
                           RngStream(0).generator())
 
 
+def _each_distinct(evaluate, skews, *args):
+    """evaluate(distinct, *args) on the distinct skew matrices (None is plain
+    RVQ) in first-seen order, one result per skew: a repeat copies its first's."""
+    keys = [None if a is None else a.tobytes() for a in skews]
+    distinct = dict(zip(keys, skews))  # equal bytes, equal matrices
+    results = dict(zip(distinct, evaluate(list(distinct.values()), *args)))
+    return [results[k] for k in keys]
+
+
 def skew_candidates_avg(model, candidates, bits, n_channels, n_codebooks,
                         stream: RngStream):
     """Channel-averaged gain loss of (label, SkewMatrix-or-None) candidates
     on shared random draws, as [(label, mean, stderr)]; None is plain RVQ."""
-    ests = loss.channel_averaged_losses(
-        model, [None if sk is None else sk.a for _, sk in candidates], bits,
-        n_channels, n_codebooks, stream)
+    ests = _each_distinct(partial(loss.channel_averaged_losses, model),
+                          [None if sk is None else sk.a for _, sk in candidates],
+                          bits, n_channels, n_codebooks, stream)
     return [(label, est.value, est.stderr)
             for (label, _), est in zip(candidates, ests)]
 
@@ -339,8 +348,8 @@ def _build_fig6_frozen(config, bits, codebooks, lam):
 
     def task(b):
         def fn(stream):
-            ests = loss.sampled_losses(ch, [c[1] for c in candidates], b,
-                                       codebooks, stream)
+            ests = _each_distinct(partial(loss.sampled_losses, ch),
+                                  [c[1] for c in candidates], b, codebooks, stream)
             return [[label, alpha, b, est.value, est.stderr]
                     for (label, _, alpha), est in zip(candidates, ests)]
         return fn

@@ -10,8 +10,6 @@ one quadrature rule.
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -262,96 +260,113 @@ def closed_form_skew_a1(channel: ChannelRealization, alpha: float) -> SkewSearch
 
 
 # ---------------------------------------------------------------------------
-# direct search over skewing matrices
+# quasi-Newton search over Cholesky factors
 
 
-def _n_params(dim: int) -> int:
-    return 2 * dim * (dim - 1) + dim
+def _params(l: np.ndarray) -> np.ndarray:
+    """Search parameters of a lower-triangular L, the n x n real matrix
+    holding Re L on and below its diagonal and Im L' above, row-major."""
+    return (np.tril(l.real) + np.triu(l.imag.T, 1)).ravel()
 
 
-def _unitary_from_angles(dim: int, angles: np.ndarray) -> np.ndarray:
-    """Product of one Givens rotation per index pair i < j, in order, each
-    applied on the left: rows i and j are rotated by angle th with phase ph,
-    from the flat (th, ph) pairs of angles."""
-    u = np.eye(dim, dtype=complex).tolist()
-    pairs = itertools.combinations(range(dim), 2)
-    for (i, j), th, ph in zip(pairs, angles[0::2], angles[1::2]):
-        c, s = math.cos(th), math.sin(th)
-        e = cmath.exp(1j * ph)
-        a, b = -s * e, s * e.conjugate()
-        ui, uj = u[i], u[j]
-        u[i] = [c * x + a * y for x, y in zip(ui, uj)]
-        u[j] = [b * x + c * y for x, y in zip(ui, uj)]
-    return np.array(u)
+def _factor(dim: int, x: np.ndarray) -> np.ndarray:
+    """The lower-triangular L of search parameters x, ``_params``' inverse."""
+    x = x.reshape(dim, dim)
+    return np.tril(x) + 1j * np.triu(x, 1).T
 
 
-def _left_factor(dim: int, params: np.ndarray) -> np.ndarray:
-    """P = Q diag(d) of a candidate base P R'."""
-    npair = dim * (dim - 1)
-    return _unitary_from_angles(dim, params[:npair]) * np.exp(
-        np.clip(params[2 * npair:], -20.0, 20.0))
+def _skew_objective(grams, tops, alpha: float):
+    """x -> (alpha E[m1] + (1-alpha) E[m2], gradient) of A = L = ``_factor(n,
+    x)`` over the design channels (Gram matrices, top eigenvalues).
 
-
-def _candidate(dim: int, base: np.ndarray, params: np.ndarray) -> np.ndarray:
-    npair = dim * (dim - 1)
-    r = _unitary_from_angles(dim, params[npair:2 * npair])
-    return base @ _left_factor(dim, params) @ r.conj().T
-
-
-def _skew_objective(base, grams, tops, alpha: float):
-    """Search objective params -> alpha E[m1] + (1-alpha) E[m2] of the
-    candidates A = base P R' over the design channels (Gram matrices, top
-    eigenvalues).
-
-    R is unitary, so A'A and A'GA are unitarily similar to P'(B'B)P and
-    P'(B'GB)P with B = base: m1 and m2 read only eigenvalues, and R drops
-    out.  The stack S = [B'B; B'G_1B; ...] is formed once, laid out so that
-    P'SP is two GEMMs, and every evaluation is one stacked eigen-solve whose
-    row 0 is the spectrum of A'A.  Terms add in channel order; a
-    non-positive spectrum or a non-finite value scores 1e9.
+    m1 and m2 read the spectra of A'A and A'GA, so A enters only through
+    AA' = LL'.  L'SL, S = [I; G_1; ...], is two GEMMs and one stacked eigh;
+    a simple eigenpair (mu, v) has dmu = 2 Re(v'L'S_k dL v), one more GEMM
+    of [S_k L]_k with the eigenvectors' outer products.  Terms add in
+    channel order; a non-positive spectrum or a non-finite value scores 1e9,
+    with no gradient.
     """
-    dim = base.shape[0]
-    bh = base.conj().T
-    stack = np.concatenate([(bh @ base)[None], bh @ np.asarray(grams) @ base])
-    # rows (i, k): row i of S_k, so S P is one GEMM and lays out [S_k P]_k
-    # side by side for P' to multiply in one more
-    rows = stack.transpose(1, 0, 2).reshape(-1, dim)
+    count, dim = len(grams), grams[0].shape[0]
+    # rows (i, k): row i of S_k, so S L is one GEMM and lays out [S_k L]_k
+    # side by side for L' to multiply in one more
+    rows = np.concatenate([np.eye(dim)[None], grams]).transpose(1, 0, 2).reshape(-1, dim)
     tops = np.asarray(tops)
 
-    def objective_of(params):
-        p = _left_factor(dim, params)
-        sp = (rows @ p).reshape(dim, -1)
-        psp = (p.conj().T @ sp).reshape(dim, -1, dim).swapaxes(0, 1)
+    def objective_of(x):
+        l = _factor(dim, x)
+        sl = (rows @ l).reshape(dim, -1)
         try:
-            vals = hermitian_eig(psp, vectors=False).values
-        except (ValueError, np.linalg.LinAlgError):
-            return 1e9
-        top_a, mu = vals[0, 0], vals[1:]
-        if (mu[:, -1] <= 0).any() or top_a <= 0 or (tops <= 0).any():
-            return 1e9
-        m1 = 1.0 - mu[:, 0] / (top_a * tops)
-        m2 = mu[:, 0] / mu[:, -1]
-        val = np.add.accumulate(alpha * m1 + (1.0 - alpha) * m2)[-1] / len(tops)
-        return val if math.isfinite(val) else 1e9
+            vals, vecs = np.linalg.eigh((l.conj().T @ sl).reshape(dim, -1, dim).swapaxes(0, 1))
+        except np.linalg.LinAlgError:
+            return 1e9, None
+        top_a, mu1, mun = vals[0, -1], vals[1:, -1], vals[1:, 0]
+        if (mun <= 0).any() or top_a <= 0 or (tops <= 0).any():
+            return 1e9, None
+        m1 = 1.0 - mu1 / (top_a * tops)
+        m2 = mu1 / mun
+        val = np.add.accumulate(alpha * m1 + (1.0 - alpha) * m2)[-1] / count
+        if not math.isfinite(val):
+            return 1e9, None
+        # d val / d (bottom, top) eigenvalue of each matrix, L'L first
+        coef = np.zeros((count + 1, 2))
+        coef[0, 1] = alpha * (mu1 / tops).sum() / top_a ** 2
+        coef[1:, 0] = (alpha - 1.0) * m2 / mun
+        coef[1:, 1] = (1.0 - alpha) / mun - alpha / (top_a * tops)
+        ends = vecs[..., [0, -1]]
+        outer = (ends * coef[:, None, :]) @ ends.conj().swapaxes(1, 2)
+        return val, _params(sl @ outer.reshape(-1, dim) * (2.0 / count))
 
     return objective_of
 
 
+def _descend(objective_of, x, value, grad, budget: int):
+    """BFGS with Armijo backtracking (Nocedal and Wright, Numerical
+    Optimization, 2nd ed., 2006, ch. 3 and 6) from x, of the given value and
+    gradient, in at most budget evaluations; returns (x, value, evaluations).
+
+    A fresh inverse Hessian H is a scaled identity: the first step moves x
+    by |x|/10, and the last update's y's/y'y scales it after that; an update
+    without curvature is skipped.  A step that backtracks below 1e-10 or
+    gains less than 1e-12 of the value (or 4 eps, where the optimum is 0)
+    resets H, or ends the descent if H was fresh.
+    """
+    evals, h, scale = 0, None, None
+    while grad is not None and evals < budget:
+        fresh, t, gain = h is None, 1.0, 0.0
+        if scale is None:
+            scale = 0.1 * np.linalg.norm(x) / max(np.linalg.norm(grad), 1e-300)
+        step = -scale * grad if fresh else -(h @ grad)
+        while evals < budget and t > 1e-10:
+            new_value, new_grad = objective_of(x + t * step)
+            evals += 1
+            if new_grad is not None and new_value <= value + 1e-4 * t * (grad @ step):
+                s, y = t * step, new_grad - grad
+                if s @ y > 0.0:
+                    rho, scale = 1.0 / (s @ y), (s @ y) / (y @ y)
+                    h = np.eye(x.size) * scale if fresh else h
+                    hy = h @ y
+                    h += (rho * rho * (y @ hy) + rho) * np.outer(s, s) - rho * (
+                        np.outer(hy, s) + np.outer(s, hy))
+                gain, x, value, grad = value - new_value, x + s, new_value, new_grad
+                break
+            t /= 2.0
+        if gain < 1e-12 * abs(value) + 4.0 * np.finfo(float).eps:
+            if fresh:
+                break
+            h = None
+    return x, value, evals
+
+
 def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
                      stream: RngStream, budget: int) -> SkewSearchResult:
-    """Direct search for a skew minimizing alpha E[m1] + (1-alpha) E[m2].
+    """Quasi-Newton search for a skew minimizing alpha E[m1] + (1-alpha) E[m2].
 
-    Candidates are base Q diag(d) R' with Givens-parameterized unitary
-    factors; simplex descent from 8 restarts (identity, covariance-aligned,
-    inverse-root, and random bases) shares one set of channel draws so
-    comparisons are noise-free.  The objective reads only spectra, which R
-    leaves alone, so it skips R; the returned skew carries it.  Budget
-    counts objective evaluations and is never exceeded: a budget below 8
-    runs that many restarts.  The best candidate found is returned once it
-    runs out.
+    On one set of channel draws, so comparisons are noise-free, it scores
+    the Cholesky factors of the identity, the transmit covariance and the
+    mean Gram's inverse (skipping one that fails), and ``_descend``s from
+    the first of the lowest.  Budget counts objective evaluations and is
+    never exceeded: a budget below 3 scores that many starts.
     """
-    from scipy.optimize import minimize
-
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if budget < 1:
@@ -360,41 +375,16 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
         raise ValueError("need at least one channel draw")
     # the design channels are drawn in turn from one generator
     grams, spectra = sample_grams(model, stream.derive("channels").generator(), n_channels)
-    dim = grams.shape[1]
-    mean_gram = sum(grams) / len(grams)
-    eig_mean = hermitian_eig(mean_gram)
-    es = hermitian_eig(transmit_covariance(model))
-    sv = np.clip(es.values, 1e-12 * max(es.values[0], 1e-300), None)
-    vals = np.clip(eig_mean.values, 1e-12 * eig_mean.values[0], None)
-    bases = [np.eye(dim, dtype=complex), (es.vectors * np.sqrt(sv)) @ es.vectors.conj().T,
-             (eig_mean.vectors * vals ** -0.5) @ eig_mean.vectors.conj().T]
-    rgen = stream.derive("restarts").generator()
-    while len(bases) < 8:
-        z = rgen.standard_normal((dim, dim, 2))
-        bases.append((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
-
-    k = _n_params(dim)
-    bases = bases[:budget]
-    per_restart = budget // len(bases)
-    best = None
-    evals = 0
-    for ridx, base in enumerate(bases):
-        objective_of = _skew_objective(base, grams, spectra[:, 0], alpha)
-        values = []
-
-        def fun(p, objective_of=objective_of, values=values):
-            values.append(objective_of(p))
-            return values[-1]
-
-        res = minimize(fun, np.zeros(k), method="Nelder-Mead",
-                       options={"maxfev": per_restart, "xatol": 1e-6,
-                                "fatol": 1e-10, "disp": False})
-        # Nelder-Mead evaluates its start x0 = zeros first
-        start = (values[0], ridx, np.zeros(k))
-        evals += len(values)
-        cand = (float(res.fun), ridx, np.array(res.x))
-        for c in (start, cand):
-            if best is None or c[0] < best[0] or (c[0] == best[0] and c[1] < best[1]):
-                best = (c[0], c[1], c[2], base)
-    a = _candidate(dim, best[3], best[2])
-    return SkewSearchResult(skew=SkewMatrix(a), objective=best[0], n_evals=evals)
+    objective_of = _skew_objective(grams, spectra[:, 0], alpha)
+    scored = []
+    for cov in (lambda: np.eye(model.n_t), lambda: transmit_covariance(model),
+                lambda: np.linalg.inv(grams.mean(axis=0)))[:budget]:
+        try:
+            x = _params(np.linalg.cholesky(cov()))
+        except np.linalg.LinAlgError:
+            continue
+        scored.append((x, *objective_of(x)))
+    x, value, evals = _descend(objective_of, *min(scored, key=lambda start: start[1]),
+                               budget - len(scored))
+    return SkewSearchResult(skew=SkewMatrix(_factor(model.n_t, x)), objective=value,
+                            n_evals=len(scored) + evals)

@@ -164,8 +164,8 @@ def einsum_stack_quotients(channels, bits, n_codebooks, stream):
 def loop_skew_objective(grams, tops, alpha):
     """alpha E[m1] + (1-alpha) E[m2] of a whole candidate A, from the
     eigenvalues of A'A and of each A'GA in turn, summed in a Python loop: the
-    reference for the search objective, which reads the same spectra through
-    the left factor of A alone."""
+    reference for the search objective, which reads the same spectra from one
+    stacked eigen-solve."""
     def objective_of(a):
         try:
             top_a = float(hermitian_eig(a.conj().T @ a, vectors=False).values[0])
@@ -182,26 +182,6 @@ def loop_skew_objective(grams, tops, alpha):
         val = acc / len(grams)
         return val if math.isfinite(val) else 1e9
     return objective_of
-
-
-def eye_product_unitary(dim, angles):
-    """The search's Givens unitary as a product of full rotation matrices,
-    one np.eye per index pair i < j in order, each multiplied in on the left:
-    the reference for the row-rotating builder."""
-    u = np.eye(dim, dtype=complex)
-    idx = 0
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            th, ph = angles[idx], angles[idx + 1]
-            idx += 2
-            c, s = math.cos(th), math.sin(th)
-            rot = np.eye(dim, dtype=complex)
-            rot[i, i] = c
-            rot[j, j] = c
-            rot[i, j] = -s * np.exp(1j * ph)
-            rot[j, i] = s * np.exp(-1j * ph)
-            u = rot @ u
-    return u
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,

@@ -351,8 +351,8 @@ def _is_scipy(name):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy loads where it is used (betainc for the closed forms, the
-    # optimizer for the skew search), and the thread pool where threads > 1:
+    # scipy loads where it is used (betainc for the closed forms), and the
+    # thread pool where threads > 1:
     # each costs import time and resident memory in every run that does not
     # need it.  A fresh interpreter sees what the import itself loads.
     probe = ("import json, sys, rvqlab.cli, rvqlab.harness; "
@@ -400,14 +400,15 @@ print(json.dumps([out[0] == out[1], hashlib.sha256(out[0]).hexdigest(),
 
 
 def test_a_sampled_preset_never_loads_scipy_special(tmp_path):
-    # fig4b reads no closed form, and fig6a and fig6b take their skews in
-    # closed form: were betainc's import back at module level, or a search
-    # back in the frozen-channel presets, every such run would carry
-    # scipy.special's or scipy.optimize's memory
+    # fig4b reads no closed form, fig6a and fig6b take their skews in closed
+    # form, and fig6d's search is numpy's: were betainc's import back at
+    # module level, or scipy's optimizer back in a skew design, every such
+    # run would carry scipy.special's or scipy.optimize's memory
+    presets = ("fig4b", "fig6a", "fig6b", "fig6d")
     configs = [ExperimentConfig(experiment=preset, seed=3, output_dir=preset,
                                 threads=2 if preset == "fig4b" else 1,
                                 **_TINY[preset]).to_json()
-               for preset in ("fig4b", "fig6a", "fig6b")]
+               for preset in presets]
     probe = f"""
 import hashlib, json, sys
 from pathlib import Path
@@ -424,7 +425,7 @@ print(json.dumps(out))
     proc = _fresh_python("-c", probe, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[preset, False, False, _TINY_SHA256[preset]]
-                                       for preset in ("fig4b", "fig6a", "fig6b")]
+                                       for preset in presets]
 
 
 _IID = {"kind": "iid", "n_t": 3, "n_r": 2}
@@ -468,9 +469,11 @@ _TINY = {
 # delta2_appx, with 1 - d carried as the product prod_j (l1-l2)/(l1-lj).
 # fig1's exact CDF and fig3's oracle values are those of the de Boor-Cox
 # recursion.  Every integral sums each panel's Gauss-Legendre nodes, and a
-# row's panels, on their own, in panel order (not by a BLAS product).  fig6d's alpha = 0.5 and 0 skews come from a search objective that
-# reads the spectra of P'(B'GB)P; at d = 1 it is flat in Q, so round-off
-# picks among equal-valued candidates; its alpha = 1 skew is the identity.
+# row's panels, on their own, in panel order (not by a BLAS product).
+# fig6d's alpha = 0.5 and 0 skews are the lower-triangular factors that a
+# quasi-Newton search on the spectra of L'GL (LAPACK's eigh) reaches within
+# its 16-evaluation budget, short of convergence; its alpha = 1 skew is the
+# identity.
 # fig6a and fig6b take their skews in
 # closed form, the whitener or the identity; their tiny pins do not reach
 # the alpha = 1 degeneracy, where every skew with m1 = 0 is optimal and a
@@ -488,7 +491,7 @@ _TINY_SHA256 = {
     "fig6a": "b56d6a203dac5d3b0e43df6121964b5422af6677b1a612bdf716b41b0959faf3",
     "fig6b": "0a4647e02c9eaf61743cd319619d127d8a4b48f6d0ee14261a9372334fa04313",
     "fig6c": "ec6ad1e4a0cff94f1ae24a5cd4315cd4c04c900358ef52f2668e11415c5fd480",
-    "fig6d": "3b2a6a794867c6f501168f004a5c698ca67e7715a641ab32876829279d8e1cd5",
+    "fig6d": "9c73cc4203de31950b3ddc37af189e2022ccf37dee3748ac05588e69e15c0ae3",
     "custom": "949f56667e87a1c668175b472dbf953f20a527f1109dcffef25c7723772fa800",
 }
 
