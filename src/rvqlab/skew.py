@@ -26,6 +26,7 @@ from .rng import RngStream
 from .wnorm import WeightedNormLaw, cdf
 
 RANK_RTOL = 1e-12
+SEARCH_EVALS = 64  # evaluations per skew search: a fixed cost, whatever the draws
 _NAN = float("nan")
 
 
@@ -319,41 +320,39 @@ def _skew_objective(grams, tops, alpha: float):
     return objective_of
 
 
-def _descend(objective_of, x, value, grad, budget: int):
+def _descend(objective_of, x, value, grad, evals: int):
     """BFGS with Armijo backtracking (Nocedal and Wright, Numerical
     Optimization, 2nd ed., 2006, ch. 3 and 6) from x, of the given value and
-    gradient, in at most budget evaluations; returns (x, value, evaluations).
+    gradient; returns (x, value, evals).  It takes evals evaluations, or none
+    without a gradient: with no convergence test, its cost does not depend on
+    the draws.  Each tries one step, half the last one's if that failed.
 
     A fresh inverse Hessian H is a scaled identity: the first step moves x
     by |x|/10, and the last update's y's/y'y scales it after that; an update
-    without curvature is skipped.  A step that backtracks below 1e-10 or
-    gains less than 1e-12 of the value (or 4 eps, where the optimum is 0)
-    resets H, or ends the descent if H was fresh.
+    without curvature is skipped.  A step gaining under 1e-12 of the value
+    (or 4 eps, where the optimum is 0), or halved below 1e-10, resets H.
     """
-    evals, h, scale = 0, None, None
-    while grad is not None and evals < budget:
-        fresh, t, gain = h is None, 1.0, 0.0
+    evals, h, scale, t = evals if grad is not None else 0, None, None, 1.0
+    for _ in range(evals):
         if scale is None:
             scale = 0.1 * np.linalg.norm(x) / max(np.linalg.norm(grad), 1e-300)
-        step = -scale * grad if fresh else -(h @ grad)
-        while evals < budget and t > 1e-10:
-            new_value, new_grad = objective_of(x + t * step)
-            evals += 1
-            if new_grad is not None and new_value <= value + 1e-4 * t * (grad @ step):
-                s, y = t * step, new_grad - grad
-                if s @ y > 0.0:
-                    rho, scale = 1.0 / (s @ y), (s @ y) / (y @ y)
-                    h = np.eye(x.size) * scale if fresh else h
-                    hy = h @ y
-                    h += (rho * rho * (y @ hy) + rho) * np.outer(s, s) - rho * (
-                        np.outer(hy, s) + np.outer(s, hy))
-                gain, x, value, grad = value - new_value, x + s, new_value, new_grad
-                break
+        step = -scale * grad if h is None else -(h @ grad)
+        new_value, new_grad = objective_of(x + t * step)
+        if new_grad is not None and new_value <= value + 1e-4 * t * (grad @ step):
+            s, y = t * step, new_grad - grad
+            if s @ y > 0.0:
+                rho, scale = 1.0 / (s @ y), (s @ y) / (y @ y)
+                h = np.eye(x.size) * scale if h is None else h
+                hy = h @ y
+                h += (rho * rho * (y @ hy) + rho) * np.outer(s, s) - rho * (
+                    np.outer(hy, s) + np.outer(s, hy))
+            if value - new_value < 1e-12 * abs(new_value) + 4.0 * np.finfo(float).eps:
+                h = None
+            x, value, grad, t = x + s, new_value, new_grad, 1.0
+        else:
             t /= 2.0
-        if gain < 1e-12 * abs(value) + 4.0 * np.finfo(float).eps:
-            if fresh:
-                break
-            h = None
+            if t < 1e-10:
+                h, t = None, 1.0
     return x, value, evals
 
 
@@ -364,8 +363,9 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
     On one set of channel draws, so comparisons are noise-free, it scores
     the Cholesky factors of the identity, the transmit covariance and the
     mean Gram's inverse (skipping one that fails), and ``_descend``s from
-    the first of the lowest.  Budget counts objective evaluations and is
-    never exceeded: a budget below 3 scores that many starts.
+    the first of the lowest.  It takes min(budget, SEARCH_EVALS) objective
+    evaluations whatever the draws, fewer only when every start scores 1e9;
+    a budget below 3 scores that many starts.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -385,6 +385,6 @@ def optimize_skew_a1(model: ChannelModel, alpha: float, n_channels: int,
             continue
         scored.append((x, *objective_of(x)))
     x, value, evals = _descend(objective_of, *min(scored, key=lambda start: start[1]),
-                               budget - len(scored))
+                               min(budget, SEARCH_EVALS) - len(scored))
     return SkewSearchResult(skew=SkewMatrix(_factor(model.n_t, x)), objective=value,
                             n_evals=len(scored) + evals)

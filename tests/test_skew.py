@@ -560,9 +560,7 @@ def test_objective_scores_a_rank_deficient_candidate_1e9():
 def test_search_never_exceeds_its_budget(budget):
     stream = RngStream(7).derive("fig6d-design").derive("alpha0.5")
     res = optimize_skew_a1(_FIG6_MODEL, 0.5, 8, stream, budget)
-    assert 1 <= res.n_evals <= budget
-    if budget <= 3:  # that many starts are scored
-        assert res.n_evals == budget
+    assert res.n_evals == min(budget, skew_module.SEARCH_EVALS)
 
 
 def test_search_takes_one_eigen_solve_per_evaluation(monkeypatch):
@@ -583,8 +581,18 @@ def test_search_takes_one_eigen_solve_per_evaluation(monkeypatch):
         calls.update(eigh=0, hermitian_eig=0)
         stream = RngStream(7).derive("fig6d-design").derive("alpha0.5")
         res = optimize_skew_a1(_FIG6_MODEL, 0.5, 64, stream, budget)
-        assert res.n_evals > 3
+        assert res.n_evals == min(budget, skew_module.SEARCH_EVALS)
         assert calls == {"eigh": res.n_evals, "hermitian_eig": 2}
+
+
+def test_search_cost_does_not_depend_on_the_draws():
+    # fig6d's designs at the skew_design benchmark's budget, where a
+    # convergence test took 17 to 240 evaluations per search
+    for seed in range(1, 13):
+        for alpha in (0.5, 0.0):
+            stream = RngStream(seed).derive("fig6d-design").derive(f"alpha{alpha}")
+            res = optimize_skew_a1(_FIG6_MODEL, alpha, 64, stream, 240)
+            assert res.n_evals == skew_module.SEARCH_EVALS
 
 
 def _fig6d_design(seed, alpha):
@@ -606,16 +614,17 @@ def test_search_beats_the_simplex_values_on_the_fig6d_designs(alpha, bound):
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_search_descends_into_one_basin(seed):
-    # ten random factors descend to the value reached from the three starts
+    # ten random factors descend to the value reached from the three starts;
+    # they take 65 to 255 evaluations to come within 1e-8 of it
     rng = np.random.default_rng(seed)
     for alpha in (0.5, 0.0):
         stream, objective_of = _fig6d_design(seed, alpha)
         want = optimize_skew_a1(_FIG6_MODEL, alpha, 64, stream, 2400).objective
         for _ in range(10):
             x = rng.standard_normal(_N_PARAMS)
-            _, got, evals = skew_module._descend(objective_of, x, *objective_of(x), 2400)
+            _, got, evals = skew_module._descend(objective_of, x, *objective_of(x), 400)
             assert abs(got - want) <= 1e-8 * want
-            assert evals < 2400
+            assert evals == 400
 
 
 def _search_against_loop(model, alpha, n_channels, stream, budget):
