@@ -451,7 +451,7 @@ _PRESETS = {
                      range(1, 7), {"codebooks": 1000}),
     "fig6c": _Preset(_build_fig6c, (1, 4), {"channels": 400, "codebooks": 100}),
     "fig6d": _Preset(_build_fig6d, range(1, 7),
-                     {"channels": 1000, "codebooks": 100, "samples": 2400}),
+                     {"channels": 1000, "codebooks": 100, "samples": 64}),
     "custom": _Preset(_build_custom, range(1, 7), {"channels": 100, "codebooks": 100},
                       rho=1.0, model=True),
 }
@@ -481,8 +481,6 @@ def run(config: ExperimentConfig):
     issues = validate(config)
     if issues:
         raise ConfigError("; ".join(issues))
-    import scipy  # for the manifest's version; a bad config never loads it
-
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_name = f"{config.experiment}.csv"
@@ -497,7 +495,6 @@ def run(config: ExperimentConfig):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "rvqlab": _package_version(),
         },
         "complete": False,

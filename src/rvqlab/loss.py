@@ -115,17 +115,33 @@ def _m_beta(m: int, q: float) -> float:
 
 
 def _theorem_sum(m: int, q: float, c: float, k_min: int = 0) -> float:
-    """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)) with
-    d = 1 - c, which with j = m - k is m B(m, q) times the head j <= m - k_min
-    of the negative binomial series sum_j (q)_j d^j / j! = c^-q, and that head
-    is c^-q I_c(q, m - k_min + 1) (DLMF 8.17).  The caller passes c, not d:
-    near d = 1 only c keeps its digits."""
-    # imported here: no sampled loss should pay for loading scipy.special
-    from scipy.special import betainc
-
+    """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)), d = 1 - c,
+    k_min 0 or 1: m B(m, q) c^-q I_c(q, m - k_min + 1) (DLMF 8.17), whose
+    gamma ratios cancel with t = u^(1/q) in the incomplete beta integral, to
+    (m + q)/q or m/q times c^-q int_0^(c^q) (1 - u^(1/q))^(m - k_min) du.  The
+    caller passes c, not d: near d = 1 only c keeps its digits."""
     if not 0.0 < c <= 1.0:
         raise DegenerateSpectrumError("decay base must lie in [0, 1)")
-    return _m_beta(m, q) * c ** -q * float(betainc(q, m - k_min + 1.0, c))
+    scale = (m + q if k_min == 0 else m) / q
+    return scale * c ** -q * _dominant_integral(m, 1.0 / q, c, k_min=k_min)
+
+
+def _dominant_integral(m: int, k: float, c: float, gamma=0.0, k_min=0) -> float:
+    """int_0^(c^(1/k)) (1 - u^k)^(m - k_min) / (1 - gamma u) du, 0 <= gamma < 1,
+    on panels graded toward 0 at the scale m^(-1/k), where (1 - u^k)^m decays,
+    and, if gamma > 0, toward the top at its distance from the pole 1/gamma."""
+    top, scale = c ** (1.0 / k), m ** (-1.0 / k)
+    steps = 2.0 ** np.arange(64)
+    pole = [top - (1.0 / gamma - top) * steps] if gamma else []
+    pts = np.unique(np.clip(np.concatenate([[0.0], scale * steps, *pole]), 0.0, top))
+
+    def f(u):
+        with np.errstate(divide="ignore"):
+            return np.exp((m - k_min) * np.log1p(-u ** k)) / (1.0 - gamma * u)
+
+    # a tolerance in proportion to the range: its share on the panels near 0
+    # that carry the mass must stay above their rounding
+    return integrate_piecewise(f, pts, tol=1e-14 * top)
 
 
 def quantization_factors(lam, bits: int) -> QuantizationFactors:
@@ -366,10 +382,8 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
 
     Its outer series sum_i gamma^i int_0^c s^(q_i - 1) (1-s)^m ds, with
     q_i = (i+1)/(n-1) and c = 1 - d, sums under the integral; with
-    s = u^(n-1) it is (n-1) int_0^(c^(1/(n-1))) (1 - u^(n-1))^m / (1 - gamma u) du.
-    The panels are graded geometrically toward 0 at the scale m^(-1/(n-1)),
-    where (1 - u^(n-1))^m decays, and toward the upper limit at its distance
-    from the pole 1/gamma, where 1/(1 - gamma u) steepens as gamma -> 1.
+    s = u^(n-1) it is (n-1) int_0^(c^(1/(n-1))) (1 - u^(n-1))^m / (1 - gamma u) du,
+    at gamma = 0 the theorem sum's integral.
     """
     lam = check_spectrum(lam)
     n = lam.size
@@ -380,19 +394,7 @@ def delta2_appx(lam, rho: float, bits: int) -> LossEstimate:
     qf = quantization_factors(lam, bits)
     a = float(np.exp(np.mean(np.log(lam[0] - lam[1:]))))
     gamma = rho * a / (1.0 + rho * lam[0])
-    k = n - 1.0
-    top, scale = qf.c ** (1.0 / k), qf.m ** (-1.0 / k)
-    steps = 2.0 ** np.arange(64)
-    pts = np.unique(np.clip(np.concatenate(
-        [[0.0], scale * steps, top - (1.0 / gamma - top) * steps]), 0.0, top))
-
-    def f(u):
-        with np.errstate(divide="ignore"):
-            return np.exp(qf.m * np.log1p(-u ** k)) / (1.0 - gamma * u)
-
-    # a tolerance in proportion to the range: its share on the panels near 0
-    # that carry the mass must stay above their rounding
-    value = integrate_piecewise(f, pts, tol=1e-14 * top)
+    value = _dominant_integral(qf.m, n - 1.0, qf.c, gamma)
     return LossEstimate(rho * a / (_LN2 * (1.0 + rho * lam[0])) * value, "approx")
 
 

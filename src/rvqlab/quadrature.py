@@ -1,8 +1,8 @@
 """Adaptive composite Gauss-Legendre on array integrands, deliberately
 hand-rolled: the one quadrature rule of the package.  The plain and skewed
 loss oracles that the closed forms are checked against integrate with it, and
-so do the skewed two-antenna bound and the rate-loss approximant
-``delta2_appx``, whose reference is the mpmath route of its tests instead.
+so do the skewed two-antenna bound, the theorem sum and the rate-loss
+approximant ``delta2_appx``, those two checked against mpmath instead.
 A stack of rows is integrated in one adaptive pass, every sum taken per row
 in the row's own panel order: a row's value does not depend on the others.
 """

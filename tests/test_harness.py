@@ -90,7 +90,7 @@ _READS = {
     "fig6b": {"bits_range": _R6, "trials.codebooks": 1000},
     "fig6c": {"bits_range": [1, 4], "trials.channels": 400, "trials.codebooks": 100},
     "fig6d": {"bits_range": _R6, "trials.channels": 1000, "trials.codebooks": 100,
-              "trials.samples": 2400},
+              "trials.samples": 64},
     "custom": {"bits_range": _R6, "rho": 1.0, "trials.channels": 100,
                "trials.codebooks": 100, "model": None},
 }
@@ -243,7 +243,7 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert lines[-1] == "# manifest: fig1_manifest.json"
     assert manifest["complete"]
     assert manifest["files"] == {"fig1.csv": 603}
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "rvqlab"}
+    assert set(manifest["versions"]) == {"python", "numpy", "rvqlab"}
     on_disk = json.loads((tmp_path / "fig1_manifest.json").read_text())
     assert on_disk == manifest
 
@@ -339,93 +339,41 @@ def _fresh_python(*args, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def _imported(importtime_stderr):
-    """Module names in ``python -X importtime`` output."""
-    return {line.rsplit("|", 1)[1].strip()
-            for line in importtime_stderr.splitlines()
-            if line.startswith("import time:") and "|" in line}
-
-
-def _is_scipy(name):
-    return name == "scipy" or name.startswith("scipy.")
-
-
-def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy loads where it is used (betainc for the closed forms), and the
-    # thread pool where threads > 1:
-    # each costs import time and resident memory in every run that does not
-    # need it.  A fresh interpreter sees what the import itself loads.
-    probe = ("import json, sys, rvqlab.cli, rvqlab.harness; "
-             "print(json.dumps(sorted(sys.modules)))")
-    proc = _fresh_python("-c", probe)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert "rvqlab.harness" in loaded
-    assert not {m for m in loaded if _is_scipy(m)}
-    assert not loaded & {"numpy.f2py", "numpy.testing", "concurrent.futures"}
-    # a bad config exits 1 before anything loads scipy, from either command
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"experiment": "fig2", "trials": {"codebooks": 1}}')
-    for command in ("validate", "run"):
-        proc = _fresh_python("-X", "importtime", "-m", "rvqlab.cli", command,
-                             "--config", str(bad), cwd=tmp_path)
-        assert proc.returncode == 1, proc.stderr
-        imported = _imported(proc.stderr)
-        assert "rvqlab.harness" in imported
-        assert not {m for m in imported if _is_scipy(m)}
-
-
-def test_scipy_loads_on_first_use_on_a_pool_thread(tmp_path):
-    # the test modules import scipy.stats, so only a fresh interpreter can
-    # make betainc's first import happen on a worker thread
-    fig2 = ExperimentConfig(experiment="fig2", seed=3, **_TINY["fig2"])
-    probe = f"""
-import hashlib, json, sys
-from pathlib import Path
-from rvqlab.harness import ExperimentConfig, run
-config = ExperimentConfig.from_json({fig2.to_json()!r})
-assert "scipy.special" not in sys.modules
-out = []
-for threads in (2, 1):
-    config.threads, config.output_dir = threads, f"t{{threads}}"
-    manifest = run(config)
-    out.append(Path(config.output_dir, "fig2.csv").read_bytes())
-import scipy
-print(json.dumps([out[0] == out[1], hashlib.sha256(out[0]).hexdigest(),
-                  manifest["versions"]["scipy"] == scipy.__version__]))
-"""
-    proc = _fresh_python("-c", probe, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [True, _TINY_SHA256["fig2"], True]
-
-
-def test_a_sampled_preset_never_loads_scipy_special(tmp_path):
-    # fig4b reads no closed form, fig6a and fig6b take their skews in closed
-    # form, and fig6d's search is numpy's: were betainc's import back at
-    # module level, or scipy's optimizer back in a skew design, every such
-    # run would carry scipy.special's or scipy.optimize's memory
-    presets = ("fig4b", "fig6a", "fig6b", "fig6d")
+def test_no_preset_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency.  The test modules import scipy,
+    # so only a fresh interpreter shows what the import and the presets
+    # load; fig4b at threads 2 also runs its tasks on the thread pool
     configs = [ExperimentConfig(experiment=preset, seed=3, output_dir=preset,
                                 threads=2 if preset == "fig4b" else 1,
                                 **_TINY[preset]).to_json()
-               for preset in presets]
+               for preset in PRESET_NAMES]
     probe = f"""
 import hashlib, json, sys
 from pathlib import Path
+import rvqlab.cli
 from rvqlab.harness import ExperimentConfig, run
-out = []
+at_import, digests = sorted(sys.modules), {{}}
 for text in {configs!r}:
     config = ExperimentConfig.from_json(text)
     run(config)
-    out.append([config.experiment, "scipy.special" in sys.modules,
-                "scipy.optimize" in sys.modules, hashlib.sha256(Path(
-                    config.output_dir, config.experiment + ".csv").read_bytes()).hexdigest()])
-print(json.dumps(out))
+    digests[config.experiment] = hashlib.sha256(Path(
+        config.output_dir, config.experiment + ".csv").read_bytes()).hexdigest()
+print(json.dumps([at_import, digests, sorted(sys.modules)]))
 """
     proc = _fresh_python("-c", probe, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[preset, False, False, _TINY_SHA256[preset]]
-                                       for preset in presets]
+    at_import, digests, loaded = json.loads(proc.stdout)
+    assert "rvqlab.harness" in at_import
+    assert not set(at_import) & {"numpy.f2py", "numpy.testing", "concurrent.futures"}
+    assert digests == _TINY_SHA256
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    # a bad config exits 1, not with a traceback, from either command
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"experiment": "fig2", "trials": {"codebooks": 1}}')
+    for command in ("validate", "run"):
+        proc = _fresh_python("-m", "rvqlab.cli", command, "--config", str(bad),
+                             cwd=tmp_path)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 _IID = {"kind": "iid", "n_t": 3, "n_r": 2}
@@ -464,9 +412,10 @@ _TINY = {
 # [[Re M, -Im M], [Im M, Re M]], so its bytes also depend on the BLAS GEMM
 # kernel.  fig1's empirical CDF is the kernel's plain rows of one-codeword
 # codebooks.  The closed-form columns of fig2, fig5a and fig5b
-# (and of the sliced fig2 pin below) are those of the incomplete-beta
-# theorem sum, the Gauss-Laguerre rate loss and the graded-panel integral of
-# delta2_appx, with 1 - d carried as the product prod_j (l1-l2)/(l1-lj).
+# (and of the sliced fig2 pin below) are those of the graded-panel integral
+# that delta1_exact and delta1_appx take the theorem sum as and delta2_appx
+# shares, and of the Gauss-Laguerre rate loss, with 1 - d carried as the
+# product prod_j (l1-l2)/(l1-lj).
 # fig1's exact CDF and fig3's oracle values are those of the de Boor-Cox
 # recursion.  Every integral sums each panel's Gauss-Legendre nodes, and a
 # row's panels, on their own, in panel order (not by a BLAS product).
@@ -478,11 +427,11 @@ _TINY = {
 # closed form, the whitener or the identity; their tiny pins do not reach
 # the alpha = 1 degeneracy, where every skew with m1 = 0 is optimal and a
 # long enough search stops on one whose m1 rounds below 0.
-# Recorded with numpy 2.4, scipy 1.17 and OpenBLAS 0.3.31 (Haswell kernels)
+# Recorded with numpy 2.4 and OpenBLAS 0.3.31 (Haswell kernels)
 # on x86-64: another libm or BLAS may round differently.
 _TINY_SHA256 = {
     "fig1": "cd491fb43195268a4ee651b9931a45a99e5b247d882ee397e4de5f4ec4e1f952",
-    "fig2": "87b16c12efda1ae86678fd2630bd7723cddfee6690722eb455cefcdc8f406b85",
+    "fig2": "4e7f9170c56e7ebb29fe649d9396a8e9cc77e0a88430a3583b53892b809ce1d9",
     "fig3": "9bad3fcb4d067af3032d0b8d97e3b58fcf7814f276ed1bc5902d6578d4bf4ad9",
     "fig4a": "e17ddf3d5b7d6f431324c3073d4316bcd45a1e79d87253f4ad14a2d31a1cf17d",
     "fig4b": "258c84375461233c40dd057b7ad4e9a61ccac14de5177973f6ae35e64faca912",
@@ -520,4 +469,4 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
                          trials={"codebooks": 2})
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
-        "41ce3fc8a1c5d679272151f5d01743c109ab96c55a2eb0bf3a78bbd0cf163123")
+        "32cc1f5e8de4773e2d640adb55019c4400b325aa55637e786fae7b066f48b837")

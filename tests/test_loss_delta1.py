@@ -186,23 +186,25 @@ def _theorem_sum_reference(m, q, d, k_min):
 
 
 def test_theorem_sum_matches_mpmath():
-    grid = [(1 << bits, q, d, k_min)
-            for q in (1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 63)
-            for d in (0.0, 0.1, 0.5, 0.99, 1.0 - 1e-6) for k_min in (0, 1)
-            for bits in range(0, 21)]
+    # the reference takes d = 1 - c in 40 digits, so every c is tested as
+    # given, 1e-9 and 1e-12 too
+    cs = [1.0 - d for d in (0.0, 0.1, 0.5, 0.99, 1.0 - 1e-6)] + [1e-9, 1e-12]
+    grid = [(1 << bits, q, c, k_min)
+            for q in (1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 7, 1 / 63)
+            for c in cs for k_min in (0, 1) for bits in range(0, 21)]
     with mp.workdps(40):
-        want = {args: _theorem_sum_reference(*args) for args in grid}
-        for (m, q, d, k_min), w in want.items():
+        want = {(m, q, c, k_min): _theorem_sum_reference(m, q, 1 - mp.mpf(c), k_min)
+                for m, q, c, k_min in grid}
+        for (m, q, c, k_min), w in want.items():
             if m <= 64:  # the reference is the term-by-term sum
-                q, d = mp.mpf(q), mp.mpf(d)
+                q, d = mp.mpf(q), 1 - mp.mpf(c)
                 direct = mp.fsum(mp.gamma(q + j) / mp.factorial(j) * d ** j
                                  for j in range(m - k_min + 1))
                 direct *= mp.gamma(m + 1) / mp.gamma(m + q)
                 assert abs(direct - w) <= mp.mpf(10) ** -30 * w
-        # the kernel takes c = 1 - d, which is exact for every d of the grid
         assert worst_relative_error("_theorem_sum", [
-            (_theorem_sum(m, q, 1.0 - d, k_min), w)
-            for (m, q, d, k_min), w in want.items()]) <= 1e-13
+            (_theorem_sum(m, q, c, k_min), w)
+            for (m, q, c, k_min), w in want.items()]) <= 1e-15
 
 
 def test_exact_three_antennas_matches_mpmath():
