@@ -339,10 +339,46 @@ def _fresh_python(*args, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_no_preset_loads_scipy(tmp_path):
-    # numpy is the only runtime dependency.  The test modules import scipy,
-    # so only a fresh interpreter shows what the import and the presets
-    # load; fig4b at threads 2 also runs its tasks on the thread pool
+def _imported(importtime_stderr):
+    """Module names in ``python -X importtime`` output."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in importtime_stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def _is_scipy(name):
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency, and the thread pool loads only
+    # where threads > 1.  The test modules import scipy, so only a fresh
+    # interpreter sees what the import itself loads
+    probe = ("import json, sys, rvqlab.cli, rvqlab.harness; "
+             "print(json.dumps(sorted(sys.modules)))")
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "rvqlab.harness" in loaded
+    assert not {m for m in loaded if _is_scipy(m)}
+    assert not loaded & {"numpy.f2py", "numpy.testing", "concurrent.futures"}
+    # a bad config exits 1, not with a traceback, from either command
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"experiment": "fig2", "trials": {"codebooks": 1}}')
+    for command in ("validate", "run"):
+        proc = _fresh_python("-X", "importtime", "-m", "rvqlab.cli", command,
+                             "--config", str(bad), cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        imported = _imported(proc.stderr)
+        assert "rvqlab.harness" in imported
+        assert not {m for m in imported if _is_scipy(m)}
+
+
+def test_a_sampled_preset_never_loads_scipy_special(tmp_path):
+    # every preset, sampled or closed-form, runs on numpy alone; fig4b at
+    # threads 2 also runs its tasks on the thread pool.  A fresh interpreter
+    # sees what the runs load
     configs = [ExperimentConfig(experiment=preset, seed=3, output_dir=preset,
                                 threads=2 if preset == "fig4b" else 1,
                                 **_TINY[preset]).to_json()
@@ -350,30 +386,20 @@ def test_no_preset_loads_scipy(tmp_path):
     probe = f"""
 import hashlib, json, sys
 from pathlib import Path
-import rvqlab.cli
 from rvqlab.harness import ExperimentConfig, run
-at_import, digests = sorted(sys.modules), {{}}
+digests = {{}}
 for text in {configs!r}:
     config = ExperimentConfig.from_json(text)
     run(config)
     digests[config.experiment] = hashlib.sha256(Path(
         config.output_dir, config.experiment + ".csv").read_bytes()).hexdigest()
-print(json.dumps([at_import, digests, sorted(sys.modules)]))
+print(json.dumps([digests, sorted(sys.modules)]))
 """
     proc = _fresh_python("-c", probe, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    at_import, digests, loaded = json.loads(proc.stdout)
-    assert "rvqlab.harness" in at_import
-    assert not set(at_import) & {"numpy.f2py", "numpy.testing", "concurrent.futures"}
+    digests, loaded = json.loads(proc.stdout)
     assert digests == _TINY_SHA256
-    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
-    # a bad config exits 1, not with a traceback, from either command
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"experiment": "fig2", "trials": {"codebooks": 1}}')
-    for command in ("validate", "run"):
-        proc = _fresh_python("-m", "rvqlab.cli", command, "--config", str(bad),
-                             cwd=tmp_path)
-        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert not [m for m in loaded if _is_scipy(m)]
 
 
 _IID = {"kind": "iid", "n_t": 3, "n_r": 2}
