@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .linalg import check_spectrum, hermitian_eig
+from .linalg import MAX_DIM, check_spectrum
 from .rng import haar_unitary
 
 UNITARY_TOL = 1e-8
@@ -110,13 +110,16 @@ class ChannelRealization:
         h = np.asarray(self.h, dtype=complex)
         if h.ndim != 2:
             raise ValueError("channel matrix must be 2-D")
-        object.__setattr__(self, "h", h)
+        if h.shape[1] > MAX_DIM:
+            raise ValueError(f"channel has more than {MAX_DIM} transmit antennas")
         gram = h.conj().T @ h
-        eig = hermitian_eig(gram)
-        spectrum = np.clip(eig.values, 0.0, None)
+        if not np.isfinite(gram).all():
+            raise ValueError("channel matrix and its Gram must be finite")
+        w, v = np.linalg.eigh(_hermitian_part(gram))
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "u_dominant", eig.vectors[:, 0])
+        object.__setattr__(self, "spectrum", np.clip(w[::-1], 0.0, None))
+        object.__setattr__(self, "u_dominant", v[:, -1])
 
     @property
     def n_t(self) -> int:
@@ -162,7 +165,13 @@ def sample_grams(model: ChannelModel, gen: np.random.Generator, count: int):
     their spectra (each descending) from one stacked eigenvalue solve."""
     h = _sample_matrices(model, gen, count)
     grams = h.conj().swapaxes(1, 2) @ h
-    return grams, hermitian_eig(grams, vectors=False).values
+    return grams, np.linalg.eigvalsh(_hermitian_part(grams))[:, ::-1]
+
+
+def _hermitian_part(grams: np.ndarray) -> np.ndarray:
+    """(G + G')/2 of a Gram or a stack: BLAS need not form H'H exactly
+    Hermitian, and the eigen-solves read only one triangle."""
+    return (grams + grams.conj().swapaxes(-1, -2)) / 2.0
 
 
 def mean_energy(model: ChannelModel) -> float:

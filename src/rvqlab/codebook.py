@@ -97,7 +97,7 @@ def best_quotients(spectra, pairs, bits: int, n_codebooks: int, gens) -> np.ndar
     slices of codewords, so memory stays bounded.  Values depend on the fixed
     slice width, never on c: a stacked draw fills as the same draws in turn.
     """
-    spectra = np.asarray(spectra, dtype=float)
+    spectra = np.ascontiguousarray(spectra, dtype=float)
     c, n = spectra.shape
     m = 1 << bits
     width = min(c, group_width(n, bits, n_codebooks))  # channels per slice

@@ -97,23 +97,6 @@ def _require_all_gaps(lam):
         raise DegenerateSpectrumError("spectrum has a gap below 1e-9 relative")
 
 
-def _m_beta(m: int, q: float) -> float:
-    """m B(m, q) = Gamma(q) Gamma(m+1)/Gamma(m+q) for 0 < q <= 32.
-
-    Exact gammas for m < 32, and otherwise Stirling's series with each large
-    logarithm taken of a ratio: a difference of ln Gamma loses m ln m ulps.
-    """
-    if m < 32:
-        return math.gamma(q) * (math.gamma(m + 1.0) / math.gamma(m + q))
-
-    def mu(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
-        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x * x)) / (x * x)) / x
-
-    return math.gamma(q) * math.exp((m + 0.5) * math.log1p((1.0 - q) / (m + q))
-                                    + (1.0 - q) * (math.log(m + q) - 1.0)
-                                    + mu(m + 1.0) - mu(m + q))
-
-
 def _theorem_sum(m: int, q: float, c: float, k_min: int = 0) -> float:
     """sum_{k=k_min}^{m} d^(m-k) G(m+1) G(m+q-k) / (G(m-k+1) G(m+q)), d = 1 - c,
     k_min 0 or 1: m B(m, q) c^-q I_c(q, m - k_min + 1) (DLMF 8.17), whose
@@ -254,12 +237,12 @@ def delta1_quadrature(lam, bits: int, tol: float = 1e-12):
 
 
 def delta1_miso(n_t: int, bits: int) -> LossEstimate:
-    """Rank-one (single receive stream) closed form: m * Beta(m, n/(n-1))."""
+    """Rank-one (single receive stream) closed form: m B(m, n/(n-1)), which
+    u^(n-1) = t turns into int_0^1 (1 - u^(n-1))^m du."""
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
     m = _check_bits(bits, MAX_CLOSED_FORM_BITS)
-    y = n_t / (n_t - 1.0)
-    return LossEstimate(_m_beta(m, y), "exact")
+    return LossEstimate(_dominant_integral(m, n_t - 1.0, 1.0), "exact")
 
 
 def delta1_asympt(lam, bits: int) -> LossEstimate:

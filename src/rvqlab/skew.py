@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, ChannelRealization, sample_grams, transmit_covariance
+from .channel import (ChannelModel, ChannelRealization, _hermitian_part, sample_grams,
+                      transmit_covariance)
 from .errors import (DegenerateSpectrumError, SingularCovarianceError,
                      SingularSkewError, UnsupportedModelError)
-from .linalg import hermitian_eig
+from .linalg import MAX_DIM
 from .loss import (LossEstimate, _check_bits, _deficit_integrand, _normalized,
                    _require_gap12, sampled_losses)
 from .quadrature import integrate_piecewise
@@ -32,23 +33,26 @@ _NAN = float("nan")
 
 @dataclass(frozen=True)
 class SkewMatrix:
+    """A full-rank square skew A, at most ``MAX_DIM`` wide, with the
+    descending spectrum of A'A, which AA' shares."""
+
     a: np.ndarray
     eig_ata: np.ndarray = field(init=False, repr=False)
-    eig_aat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("skew matrix must be square")
-        ata = hermitian_eig(a.conj().T @ a, vectors=False).values
-        aat = hermitian_eig(a @ a.conj().T, vectors=False).values
+        if a.shape[0] > MAX_DIM:
+            raise ValueError(f"skew matrix is wider than {MAX_DIM}")
+        gram = a.conj().T @ a
+        if not np.isfinite(gram).all():
+            raise ValueError("skew matrix and its Gram must be finite")
+        ata = np.linalg.eigvalsh(_hermitian_part(gram))[::-1].copy()
         if ata[-1] < RANK_RTOL * ata[0]:
             raise SingularSkewError("skew matrix is rank deficient")
-        if np.max(np.abs(ata - aat)) > 1e-10 * ata[0]:
-            raise SingularSkewError("inconsistent singular spectra")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "eig_ata", ata)
-        object.__setattr__(self, "eig_aat", aat)
 
     @property
     def n_t(self) -> int:
@@ -136,7 +140,7 @@ def delta1_sk_upper2(channel: ChannelRealization, skew: SkewMatrix, bits: int) -
     if channel.gram.shape[0] != 2:
         raise UnsupportedModelError("bound is two-antenna only")
     m_mat, _ = _pair(channel, skew)
-    b = float(hermitian_eig(m_mat, vectors=False).values[1]) / channel.spectrum[0]
+    b = float(np.linalg.eigvalsh(_hermitian_part(m_mat))[0]) / channel.spectrum[0]
     a_top, a_bot = skew.eig_ata[[0, -1]]
     if a_top - b <= 0:
         raise DegenerateSpectrumError("bound denominator vanished")
@@ -171,7 +175,7 @@ def delta1_sk_asympt(channel: ChannelRealization, skew: SkewMatrix, bits: int) -
         raise ValueError("skew and channel dimensions disagree")
     q = 1.0 / (n - 1)
     back = np.linalg.solve(skew.a, channel.u_dominant)
-    log_kappa = -(np.log1p(-lam[1:]).sum() + np.log(skew.eig_aat).sum()
+    log_kappa = -(np.log1p(-lam[1:]).sum() + np.log(skew.eig_ata).sum()
                   + n * math.log(np.vdot(back, back).real))
     value = math.gamma(1.0 + q) * math.exp(-q * (bits * math.log(2.0) + log_kappa))
     return LossEstimate(value, "asymptotic")
@@ -196,17 +200,16 @@ def skew_diagnostics(channel: ChannelRealization, skew: SkewMatrix,
         raise ValueError("alpha must lie in [0, 1]")
     lam = channel.spectrum
     m_mat, _ = _pair(channel, skew)
-    mu = hermitian_eig(m_mat, vectors=False).values
+    mu = np.linalg.eigvalsh(_hermitian_part(m_mat))[::-1]
     ata = skew.eig_ata
-    aat = skew.eig_aat
     s = float(mu[0])
     m1 = 1.0 - _safe_ratio(float(mu[0]), float(ata[0] * lam[0]), float(ata[0] * lam[0]))
     m2 = _safe_ratio(float(mu[0]), float(mu[-1]), s)
     chi_ha = _safe_ratio(float(mu[0]), float(mu[1]), s)
-    chi_a = _safe_ratio(float(aat[0]), float(aat[1]), float(aat[0]))
-    l1 = _safe_ratio(float(aat[0]), float(mu[1]), s)
+    chi_a = _safe_ratio(float(ata[0]), float(ata[1]), float(ata[0]))
+    l1 = _safe_ratio(float(ata[0]), float(mu[1]), s)
     l2 = _safe_ratio(float(mu[0]), float(mu[2]), s) if mu.size >= 3 else _NAN
-    l3 = _safe_ratio(float(aat[0]), float(mu[0]), s)
+    l3 = _safe_ratio(float(ata[0]), float(mu[0]), s)
     num = float(mu[0] - lam[-1] * ata[0])
     dens = mu[0] - mu[1:]
     if np.min(dens) < 1e-14 * s:
@@ -225,18 +228,24 @@ def build_skew_a2(sigma_t: np.ndarray, alpha: float, beta: float) -> SkewMatrix:
     """Statistics-based skew: U (alpha L^beta + (1-alpha) L^(-1/2)) U'.
 
     Interpolates between a covariance power (alpha=1) and the inverse-root
-    whitener (alpha=0); alpha=1, beta=0 gives the identity.
+    whitener (alpha=0); alpha=1, beta=0 gives the identity.  sigma_t must be
+    finite, Hermitian and positive definite.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
-    eig = hermitian_eig(np.asarray(sigma_t, dtype=complex))
-    vals = eig.values
-    if vals[-1] < RANK_RTOL * vals[0] or vals[0] <= 0:
+    sigma = np.asarray(sigma_t, dtype=complex)
+    if not np.isfinite(sigma).all():
+        raise ValueError("covariance entries must be finite")
+    scaled = sigma / max(np.abs(sigma).max(), 1e-300)  # its squares cannot overflow
+    if sigma.ndim != 2 or sigma.shape != sigma.T.shape or (
+            np.linalg.norm(scaled - scaled.conj().T) > 1e-10 * np.linalg.norm(scaled)):
+        raise ValueError("covariance must be Hermitian within 1e-10 relative")
+    vals, u = np.linalg.eigh(_hermitian_part(sigma))
+    if vals[0] < RANK_RTOL * vals[-1] or vals[-1] <= 0:
         raise SingularCovarianceError("covariance must be positive definite")
     mix = alpha * vals ** beta + (1.0 - alpha) * vals ** (-0.5)
-    u = eig.vectors
     return SkewMatrix((u * mix) @ u.conj().T)
 
 

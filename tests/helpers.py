@@ -8,7 +8,6 @@ import numpy as np
 from rvqlab.channel import ChannelRealization
 from rvqlab.codebook import _SORT_MAX, best_quotients, codeword_generators
 from rvqlab.errors import ResourceLimitError
-from rvqlab.linalg import hermitian_eig
 
 
 def complex_gaussian(rng, shape):
@@ -36,12 +35,14 @@ def diag_channel(lam):
 
 
 def codeword_basis(pairs):
-    """The eigen-decomposition, descending, of the Gram G on whose eigenbasis
-    the codewords of pairs written on the standard basis are drawn: every
-    plain pair (G, None) carries the one G, or there is none and G = I."""
+    """The eigenvalues and eigenvectors, descending, of the Gram G on whose
+    eigenbasis the codewords of pairs written on the standard basis are
+    drawn: every plain pair (G, None) carries the one G, or there is none and
+    G = I."""
     grams = [mm for mm, nn in pairs if nn is None]
     assert all(np.array_equal(g, grams[0]) for g in grams)
-    return hermitian_eig(grams[0] if grams else np.eye(pairs[0][0].shape[0]))
+    w, v = np.linalg.eigh(grams[0] if grams else np.eye(pairs[0][0].shape[0]))
+    return w[::-1], v[:, ::-1]
 
 
 def standard_basis_stack(channels, bits, n_codebooks, stream):
@@ -57,11 +58,11 @@ def standard_basis_stack(channels, bits, n_codebooks, stream):
         if nn is None:
             rows.append(None)
             continue
-        rows.append(tuple(np.array([e.vectors.conj().T @ pairs[k][i] @ e.vectors
-                                    for e, pairs in zip(eigs, channels)])
+        rows.append(tuple(np.array([u.conj().T @ pairs[k][i] @ u
+                                    for (_, u), pairs in zip(eigs, channels)])
                           for i in (0, 1)))
     gens = codeword_generators(stream, any(row is not None for row in rows))
-    return best_quotients(np.array([e.values for e in eigs]), rows, bits,
+    return best_quotients(np.array([w for w, _ in eigs]), rows, bits,
                           n_codebooks, gens)
 
 
@@ -122,7 +123,7 @@ def _einsum_channel(pairs, bits, n_codebooks, gens):
     m, n, block = 1 << bits, pairs[0][0].shape[0], 1 << 16
     per_chunk = max(1, block // (m * n))
     step = max(1, block // n)
-    u = codeword_basis(pairs).vectors
+    _, u = codeword_basis(pairs)
     best = np.full((len(pairs), n_codebooks), -np.inf)
     for pos in range(0, n_codebooks, per_chunk):
         take = min(per_chunk, n_codebooks - pos)
@@ -168,16 +169,16 @@ def loop_skew_objective(grams, tops, alpha):
     stacked eigen-solve."""
     def objective_of(a):
         try:
-            top_a = float(hermitian_eig(a.conj().T @ a, vectors=False).values[0])
-        except (ValueError, np.linalg.LinAlgError):
+            top_a = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
+        except np.linalg.LinAlgError:
             return 1e9
         acc = 0.0
         for g, top_g in zip(grams, tops):
-            mu = hermitian_eig(a.conj().T @ g @ a, vectors=False).values
-            if mu[-1] <= 0 or top_a <= 0 or top_g <= 0:
+            mu = np.linalg.eigvalsh(a.conj().T @ g @ a)
+            if mu[0] <= 0 or top_a <= 0 or top_g <= 0:
                 return 1e9
-            m1 = 1.0 - mu[0] / (top_a * top_g)
-            m2 = mu[0] / mu[-1]
+            m1 = 1.0 - mu[-1] / (top_a * top_g)
+            m2 = mu[-1] / mu[0]
             acc += alpha * m1 + (1.0 - alpha) * m2
         val = acc / len(grams)
         return val if math.isfinite(val) else 1e9
@@ -329,7 +330,7 @@ def paper_sk_estimate(channel, skew, bits):
     assert n >= 4
     lam = channel.spectrum
     a = skew.a
-    mu = hermitian_eig(a.conj().T @ channel.gram @ a, vectors=False).values
+    mu = np.linalg.eigvalsh(a.conj().T @ channel.gram @ a)[::-1]
     a1 = skew.eig_ata[0]
     d_sk = 1.0 - np.prod((mu[0] - lam[-1] * a1) / (mu[0] - mu[1:]))
     bracket = mu[0] / (a1 * lam[0]) - lam[-1] / lam[0]

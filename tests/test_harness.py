@@ -496,3 +496,13 @@ def test_codeword_sliced_preset_keeps_its_bytes(tmp_path):
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == (
         "32cc1f5e8de4773e2d640adb55019c4400b325aa55637e786fae7b066f48b837")
+
+
+def test_custom_past_eight_antennas_keeps_its_bytes(tmp_path):
+    # an iid 9x9 model draws each codeword's weights as n Exp(1) variates,
+    # the kernel path that no _TINY preset reaches
+    outs = _preset_bytes(tmp_path, "custom", model={"kind": "iid", "n_t": 9, "n_r": 9},
+                         bits_range=[1, 2], trials={"channels": 2, "codebooks": 4})
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == (
+        "f7995662a5496a9e7df3364aee3cc5da7ce6068c912b38a911ec57f132fb323e")

@@ -11,7 +11,8 @@ from helpers import (codeword_basis, complex_gaussian, diag_channel,
                      selected_gains, standard_basis_quotients,
                      standard_basis_stack)
 from rvqlab.channel import KroneckerModel
-from rvqlab.codebook import _transposition_sort, group_width
+from rvqlab.codebook import (_transposition_sort, best_quotients,
+                              codeword_generators, group_width)
 from rvqlab import loss as loss_module
 from rvqlab.harness import _fig4_model, skew_candidates_avg
 from rvqlab.loss import (avg_delta_mi, avg_delta_snr, channel_averaged_losses,
@@ -98,7 +99,7 @@ def test_kernel_equals_explicit_rvq_codebooks(n):
     for bits in range(7):
         stream = RngStream(21).derive(f"kernel{n}/{bits}")
         got = standard_basis_quotients(pairs, bits, 64, stream)
-        u = codeword_basis(pairs).vectors
+        _, u = codeword_basis(pairs)
         want = [selected_gains(rvq_codebooks(stream, bits, u, 64, skew), gram)
                 for skew in (None, a)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -145,6 +146,18 @@ def test_sliced_kernel_equals_complex_einsum_bit_for_bit():
         np.testing.assert_allclose(standard_basis_quotients(pairs, 15, 2, stream),
                                    einsum_best_quotients(pairs, 15, 2, stream),
                                    rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_kernel_bytes_do_not_depend_on_the_spectra_layout(n):
+    # a reversed view of ascending spectra (numpy's eigenvalue order) reads
+    # as its own C-contiguous copy, on both the sorted and the Exp(1) paths
+    asc = np.sort(RngStream(41).derive(f"layout{n}").generator().exponential(
+        size=(3, n)), axis=1)
+    got = [best_quotients(spectra, [None], 3, 5, codeword_generators(
+               RngStream(41).derive(f"layout{n}/draws"), False))
+           for spectra in (asc[:, ::-1], asc[:, ::-1].copy())]
+    np.testing.assert_array_equal(*got)
 
 
 def _channel_stack(n, c, seed):

@@ -16,7 +16,6 @@ from rvqlab.channel import FixedSpectrumModel, sample_channel, sample_grams
 from rvqlab.errors import (DegenerateSpectrumError, SingularCovarianceError,
                            SingularSkewError, UnsupportedModelError)
 from rvqlab.harness import _FIG6_MODEL, _FIG6_SIGMA_T
-from rvqlab.linalg import hermitian_eig
 from rvqlab.loss import delta1_asympt, delta1_exact, delta1_mc, delta1_quadrature
 from rvqlab.rng import RngStream, sample_unitary
 from rvqlab.skew import (SkewMatrix, build_skew_a2, closed_form_skew_a1,
@@ -35,7 +34,6 @@ def _gen(name):
 def test_skew_matrix_spectra():
     sk = SkewMatrix(np.diag([2.0, 1.0]))
     np.testing.assert_allclose(sk.eig_ata, [4.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(sk.eig_aat, [4.0, 1.0], atol=1e-12)
     assert sk.n_t == 2
 
 
@@ -371,9 +369,9 @@ def test_paper_estimate_misses_the_constant_the_law_finds():
 def test_diagnostics_aligned_skew():
     gen = _gen("align")
     ch = random_channel(gen, 4, 4)
-    eig = hermitian_eig(ch.gram)
+    u = np.linalg.eigh(ch.gram)[1][:, ::-1]  # columns descending
     w = sample_unitary(4, gen)
-    sk = SkewMatrix(eig.vectors @ np.diag([2.0, 1.5, 1.2, 0.7]) @ w.conj().T)
+    sk = SkewMatrix(u @ np.diag([2.0, 1.5, 1.2, 0.7]) @ w.conj().T)
     d = skew_diagnostics(ch, sk, 0.5)
     assert abs(d.m1) < 1e-12
     want_m2 = (ch.spectrum[0] / ch.spectrum[-1]) * (2.0 / 0.7) ** 2
@@ -564,9 +562,9 @@ def test_search_never_exceeds_its_budget(budget):
 
 
 def test_search_takes_one_eigen_solve_per_evaluation(monkeypatch):
-    # every evaluation is one stacked eigh; hermitian_eig runs only for the
-    # two spectra of the returned SkewMatrix
-    calls = {"eigh": 0, "hermitian_eig": 0}
+    # every evaluation is one stacked eigh; eigvalsh runs once for the design
+    # channels' spectra and once for the returned SkewMatrix's
+    calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -575,14 +573,13 @@ def test_search_takes_one_eigen_solve_per_evaluation(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(skew_module, "hermitian_eig",
-                        counted("hermitian_eig", hermitian_eig))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     for budget in (8, 40, 2400):
-        calls.update(eigh=0, hermitian_eig=0)
+        calls.update(eigh=0, eigvalsh=0)
         stream = RngStream(7).derive("fig6d-design").derive("alpha0.5")
         res = optimize_skew_a1(_FIG6_MODEL, 0.5, 64, stream, budget)
         assert res.n_evals == min(budget, skew_module.SEARCH_EVALS)
-        assert calls == {"eigh": res.n_evals, "hermitian_eig": 2}
+        assert calls == {"eigh": res.n_evals, "eigvalsh": 2}
 
 
 def test_search_cost_does_not_depend_on_the_draws():
