@@ -4,9 +4,10 @@ Three model kinds:
 
 * ``IIDModel``        -- i.i.d. unit-variance complex Gaussian entries.
 * ``KroneckerModel``  -- separately correlated ends,
-  ``H = U_r diag(sqrt(l_r)) H_iid diag(sqrt(l_t)) U_t*``.
+  ``H = diag(sqrt(l_r)) H_iid diag(sqrt(l_t))``.
   With identity spectra this reduces exactly to the i.i.d. model, and
-  ``E[Tr H*H] = sum(l_t) * sum(l_r)``.
+  ``E[Tr H*H] = sum(l_t) * sum(l_r)``.  Frames U_r H U_t* add nothing: a loss
+  reads only H*H, where U_r cancels and U_t turns a skew A into the skew U_t*A.
 * ``FixedSpectrumModel`` -- deterministic squared singular values with Haar
   (or frozen identity) singular-vector frames.
 
@@ -26,7 +27,6 @@ from .errors import UnsupportedModelError
 from .linalg import MAX_DIM, check_spectrum
 from .rng import haar_unitary
 
-UNITARY_TOL = 1e-8
 # cap on E[Tr H*H] that configs may ask for: sampled Grams and the codebook
 # quadratic forms multiply it by Gaussian magnitudes, and must stay finite
 MAX_ENERGY = 1e300
@@ -46,23 +46,12 @@ class IIDModel:
 class KroneckerModel:
     lambda_t: np.ndarray
     lambda_r: np.ndarray
-    u_t: np.ndarray | None = None
-    u_r: np.ndarray | None = None
 
     def __post_init__(self):
         lt = check_spectrum(self.lambda_t)
         lr = check_spectrum(self.lambda_r)
         object.__setattr__(self, "lambda_t", lt)
         object.__setattr__(self, "lambda_r", lr)
-        for name, u, dim in (("u_t", self.u_t, lt.size), ("u_r", self.u_r, lr.size)):
-            if u is None:
-                continue
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (dim, dim):
-                raise ValueError(f"{name} must be {dim}x{dim}")
-            if np.linalg.norm(u.conj().T @ u - np.eye(dim)) > UNITARY_TOL:
-                raise ValueError(f"{name} is not unitary within tolerance")
-            object.__setattr__(self, name, u)
         if lt.sum() <= 0 or lr.sum() <= 0:
             raise ValueError("zero-power covariance spectrum")
 
@@ -134,12 +123,7 @@ def _sample_matrices(model: ChannelModel, rng: np.random.Generator, count: int):
         h = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
         if isinstance(model, IIDModel):
             return h
-        h = np.sqrt(model.lambda_r)[:, None] * h * np.sqrt(model.lambda_t)[None, :]
-        if model.u_r is not None:
-            h = model.u_r @ h
-        if model.u_t is not None:
-            h = h @ model.u_t.conj().T
-        return h
+        return np.sqrt(model.lambda_r)[:, None] * h * np.sqrt(model.lambda_t)[None, :]
     if isinstance(model, FixedSpectrumModel):
         n_t, n_r = model.n_t, model.n_r
         root = np.sqrt(model.lam)
@@ -204,8 +188,7 @@ def normalize_power(model: ChannelModel, rho_c: float) -> ChannelModel:
         return KroneckerModel(lambda_t=lt, lambda_r=lr)
     if isinstance(model, KroneckerModel):
         return KroneckerModel(lambda_t=model.lambda_t * scale,
-                              lambda_r=model.lambda_r,
-                              u_t=model.u_t, u_r=model.u_r)
+                              lambda_r=model.lambda_r)
     return FixedSpectrumModel(lam=model.lam * scale, n_r=model.n_r, frozen=model.frozen)
 
 
@@ -214,8 +197,7 @@ def transmit_covariance(model: ChannelModel) -> np.ndarray:
     if isinstance(model, IIDModel):
         return model.n_r * np.eye(model.n_t, dtype=complex)
     if isinstance(model, KroneckerModel):
-        ut = np.eye(model.n_t, dtype=complex) if model.u_t is None else model.u_t
-        return model.lambda_r.sum() * (ut * model.lambda_t) @ ut.conj().T
+        return model.lambda_r.sum() * np.diag(model.lambda_t).astype(complex)
     if isinstance(model, FixedSpectrumModel):
         if model.frozen:
             return np.diag(model.lam).astype(complex)

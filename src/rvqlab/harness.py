@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -168,6 +168,10 @@ def model_from_dict(desc: dict):
                                    frozen=desc.get("frozen", False))
         else:
             raise ValueError(f"unknown kind {kind!r}")
+        # besides kind and rho_c, a kind reads its model's fields
+        unread = sorted(set(desc) - {"kind", "rho_c"} - {f.name for f in fields(m)})
+        if unread:
+            raise ValueError(f"{unread[0]} is not read by kind {kind!r}")
         if m.n_t > MAX_DIM:
             raise ValueError(f"transmit dimension {m.n_t} exceeds the cap {MAX_DIM}")
         if "rho_c" in desc:
@@ -232,13 +236,6 @@ def _build_fig1(config, samples):
     return ["n_t", "x", "cdf_exact", "cdf_empirical"], tasks
 
 
-def _asympt_or_exact_trend(lam, b):
-    lam = np.asarray(lam, dtype=float)
-    if lam.size == 2:
-        return (1.0 - lam[1] / lam[0]) * 2.0 ** (-b)
-    return loss.delta1_asympt(lam, b).value
-
-
 def _build_fig2(config, bits, codebooks):
     def task(lam, b):
         def fn(stream):
@@ -246,7 +243,7 @@ def _build_fig2(config, bits, codebooks):
             est = loss.delta1_mc(ch, b, codebooks, stream)
             closed = loss.delta1_closed(lam, b)
             return [[len(lam), b, est.value, est.stderr, closed.value,
-                     _asympt_or_exact_trend(lam, b)]]
+                     loss.delta1_asympt(lam, b).value]]
         return fn
 
     tasks = [(f"fig2/n{len(lam)}/b{b}", task(lam, b))

@@ -63,7 +63,6 @@ class QuantizationFactors:
     a_n: float      # 1 / (m (n-1) + 1)
     d: float        # 1 - prod_j (l1-l2)/(l1-lj), the decay base
     c: float        # 1 - d as the product itself: d rounds to 1 for n >= 4
-    kappa: float    # Gamma(1/(n-1))
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ def _check_bits(bits: int, cap: int | None = None) -> int:
     return 1 << bits
 
 
-def _normalized(lam, n_min=2):
-    lam = check_spectrum(lam, n_min=n_min)
+def _normalized(lam):
+    lam = check_spectrum(lam, n_min=2)
     return lam / lam[0]
 
 
@@ -135,8 +134,7 @@ def quantization_factors(lam, bits: int) -> QuantizationFactors:
     _require_gap12(lam)
     c = float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
     q = 1.0 / (n - 1)
-    return QuantizationFactors(m=m, a_n=q / (m + q), d=1.0 - c,
-                               c=c, kappa=math.gamma(q))
+    return QuantizationFactors(m=m, a_n=q / (m + q), d=1.0 - c, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +227,11 @@ def _quadrature_estimates(values):
     return est if np.ndim(values) else est[0]
 
 
-def delta1_quadrature(lam, bits: int, tol: float = 1e-12):
-    """Deterministic oracle: integrate the gain-law CDF to the m-th power; of
-    a stack (p, n), one estimate per row in one pass, each its own call's."""
+def delta1_quadrature(lam, bits: int):
+    """Deterministic oracle, to 1e-12: integrate the gain-law CDF to the m-th
+    power; of a stack (p, n), one estimate per row in one pass, each its own call's."""
     f, pts = _deficit_integrand(_normalized_rows(lam), bits)
-    return _quadrature_estimates(integrate_piecewise(f, pts, tol=tol))
+    return _quadrature_estimates(integrate_piecewise(f, pts, tol=1e-12))
 
 
 def delta1_miso(n_t: int, bits: int) -> LossEstimate:
@@ -246,17 +244,16 @@ def delta1_miso(n_t: int, bits: int) -> LossEstimate:
 
 
 def delta1_asympt(lam, bits: int) -> LossEstimate:
-    """Large-codebook asymptote of the mean gain loss (n >= 3).
+    """Large-codebook asymptote of the mean gain loss (n >= 2).
 
     This is the genuine limit of the closed-form approximant, so the ratio
-    delta1_appx / delta1_asympt tends to one as bits grow.
+    delta1_appx / delta1_asympt tends to one as bits grow; at n = 2 it is
+    (1 - l2/l1) 2^-b.
     """
     lam = _normalized(lam)
     n = lam.size
     _check_bits(bits)
     _require_gap12(lam)
-    if n < 3:
-        raise UnsupportedModelError("asymptote defined for n >= 3")
     q = 1.0 / (n - 1)
     gap_ratio = float(np.prod((lam[0] - lam[1]) / (lam[0] - lam[1:])))
     value = (math.gamma(q) * 2.0 ** (-bits * q) / (n - 1.0)
@@ -345,9 +342,9 @@ def delta2_exact2(lam, rho: float, bits: int) -> LossEstimate:
     return LossEstimate(delta / _LN2, "exact")
 
 
-def delta2_quadrature(lam, rho: float, bits: int, tol: float = 1e-12):
-    """Deterministic rate-loss oracle by direct integration; of a stack
-    (p, n) of spectra, one estimate per row, as ``delta1_quadrature``."""
+def delta2_quadrature(lam, rho: float, bits: int):
+    """Deterministic rate-loss oracle by direct integration, to 1e-12 bits; of
+    a stack (p, n) of spectra, one estimate per row, as ``delta1_quadrature``."""
     f, pts = _deficit_integrand(_normalized_rows(lam), bits)
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -356,7 +353,7 @@ def delta2_quadrature(lam, rho: float, bits: int, tol: float = 1e-12):
     def g(u, *rows):
         return f(u, *rows) / (1.0 + (rho_hat[rows[0], None] if rows else rho_hat) * (1.0 - u))
 
-    value = integrate_piecewise(g, pts, tol=tol * _LN2 / np.maximum(rho_hat, 1.0))
+    value = integrate_piecewise(g, pts, tol=1e-12 * _LN2 / np.maximum(rho_hat, 1.0))
     return _quadrature_estimates(rho_hat * value / _LN2)
 
 

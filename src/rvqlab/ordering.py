@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RvqlabError
 from .linalg import check_spectrum
 
 PREFIX_TOL = 1e-12
@@ -45,19 +44,14 @@ def majorize_compare(a, b) -> int:
     return 0
 
 
-def schur_family(x_start: float = 0.01, x_stop: float = 0.75,
-                 x_step: float = 0.005) -> np.ndarray:
-    """Profiles [1-x, x/3, x/3, x/3] on a unit-power budget, strongest first.
+def schur_family() -> np.ndarray:
+    """The 149 profiles [1-x, x/3, x/3, x/3], x = 0.01, 0.015, ..., 0.75.
 
     Successive members are comparable, each majorizing the next, so the
-    family is a chain.  x may not exceed 0.75 (beyond that the leading entry
-    drops below the rest and the parameterization stops being monotone).
+    family is a chain.  It stops at the balanced profile, x = 0.75: beyond it
+    the leading entry drops below the rest and the chain breaks.
     """
-    if x_stop > 0.75 + 1e-12:
-        raise RvqlabError("x beyond 0.75 breaks the majorization chain")
-    n_pts = int(round((x_stop - x_start) / x_step)) + 1
-    xs = x_start + x_step * np.arange(n_pts)
-    xs = xs[xs <= x_stop + 1e-12]
+    xs = 0.01 + 0.005 * np.arange(149)
     fam = np.empty((xs.size, 4))
     fam[:, 0] = 1.0 - xs
     fam[:, 1:] = (xs / 3.0)[:, None]

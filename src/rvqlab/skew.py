@@ -96,9 +96,9 @@ def delta1_sk_mc(channel: ChannelRealization, skew: SkewMatrix, bits: int,
     return sampled_losses(channel, [skew.a], bits, n_codebooks, stream)[0]
 
 
-def delta1_sk_quadrature(channel: ChannelRealization, skew: SkewMatrix, bits: int,
-                         tol: float = 1e-12) -> LossEstimate:
-    """Skewed-codebook gain loss by quadrature, at any number of antennas.
+def delta1_sk_quadrature(channel: ChannelRealization, skew: SkewMatrix,
+                         bits: int) -> LossEstimate:
+    """Skewed-codebook gain loss by quadrature to 1e-12, at any number of antennas.
 
     The quotient f'Mf / f'Nf of an isotropic f exceeds x = l1 (1 - u) with
     probability G(u), the weighted-norm CDF at 0 of the knots eig(D - uN),
@@ -124,7 +124,7 @@ def delta1_sk_quadrature(channel: ChannelRealization, skew: SkewMatrix, bits: in
         return cdf(law, np.zeros((u.size, 1)), np.arange(u.size)).ravel()
 
     f, pts = _deficit_integrand(lam, bits, deficit_cdf)
-    return LossEstimate(integrate_piecewise(f, pts, tol=tol), "quadrature")
+    return LossEstimate(integrate_piecewise(f, pts, tol=1e-12), "quadrature")
 
 
 def delta1_sk_upper2(channel: ChannelRealization, skew: SkewMatrix, bits: int) -> LossEstimate:

@@ -28,10 +28,7 @@ def test_realization_invariants():
 
 def test_stacked_grams_match_sample_channel():
     lt, lr = np.array([1.6, 1.2, 0.8, 0.4]), np.array([1.5, 1.0, 0.5])
-    u_t, u_r = sample_unitary(4, _gen("u_t")), sample_unitary(3, _gen("u_r"))
     models = [IIDModel(4, 2), KroneckerModel(lt, lr),
-              KroneckerModel(lt, lr, u_t=u_t), KroneckerModel(lt, lr, u_r=u_r),
-              KroneckerModel(lt, lr, u_t=u_t, u_r=u_r),
               FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], n_r=5),
               FixedSpectrumModel([4.0, 3.0, 2.0, 1.0], frozen=True)]
     for model in models:
@@ -100,10 +97,6 @@ def test_kronecker_validation():
     with pytest.raises(ValueError):
         KroneckerModel(lambda_t=np.array([1.0, 2.0]),
                        lambda_r=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        KroneckerModel(lambda_t=np.array([2.0, 1.0]),
-                       lambda_r=np.array([1.0, 1.0]),
-                       u_t=np.ones((2, 2)))
 
 
 def test_normalize_power():

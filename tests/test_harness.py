@@ -181,6 +181,10 @@ _BAD_CONFIGS = [
      '"lam": [1e308, 1e308]}}', "model"),
     ('{"experiment": "custom", "model": {"kind": "kronecker", '
      '"lambda_t": [1e200, 1], "lambda_r": [1e200], "rho_c": 1}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "kronecker", '
+     '"lambda_t": [2, 1], "lambda_r": [1], "n_t": 7}}', "model"),
+    ('{"experiment": "custom", "model": {"kind": "iid", "n_t": 2, "n_r": 2, '
+     '"lam": [5, 1], "frozen": true}}', "model"),
 ]
 
 

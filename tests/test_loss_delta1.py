@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import diag_channel, mpmath_loss, worst_relative_error
 from rvqlab.channel import FixedSpectrumModel, sample_channel
-from rvqlab.errors import (DegenerateSpectrumError, ResourceLimitError,
-                           UnsupportedModelError)
+from rvqlab.errors import DegenerateSpectrumError, ResourceLimitError
 from rvqlab.loss import (GAP_RTOL, _theorem_sum, delta1_appx,
                          delta1_asympt, delta1_closed, delta1_exact, delta1_mc,
                          delta1_miso, delta1_quadrature, epsilon_b,
@@ -23,7 +22,6 @@ def test_quantization_factors():
     assert qf.m == 4
     assert qf.a_n == pytest.approx(1.0 / 13.0, rel=1e-12)
     assert qf.d == pytest.approx(5.0 / 6.0, rel=1e-12)
-    assert qf.kappa == pytest.approx(math.gamma(1.0 / 3.0), rel=1e-12)
     assert quantization_factors([4.0, 1.0, 1.0, 1.0], 2).d == 0.0
 
 
@@ -270,23 +268,28 @@ def test_miso_matches_mpmath():
     assert worst_relative_error("delta1_miso", pairs) <= 1e-15
 
 
-def test_asympt_needs_three_antennas():
-    with pytest.raises(UnsupportedModelError):
-        delta1_asympt([2.0, 1.0], 8)
-
-
 def test_asympt_rank_one_matches_miso_limit():
     # both routes share the same leading term for a rank-one spectrum
-    for n in (3, 4):
+    for n in (2, 3, 4):
         lam = [1.0] + [0.0] * (n - 1)
         ratio = delta1_miso(n, 14).value / delta1_asympt(lam, 14).value
         assert ratio == pytest.approx(1.0, abs=1e-3)
 
 
 def test_asympt_is_the_limit_of_exact():
-    ratio = delta1_exact([3.0, 2.0, 1.0], 12).value / delta1_asympt(
-        [3.0, 2.0, 1.0], 12).value
-    assert ratio == pytest.approx(1.0, abs=0.01)
+    for lam in ([2.0, 1.0], [3.0, 2.0, 1.0]):
+        ratio = delta1_exact(lam, 12).value / delta1_asympt(lam, 12).value
+        assert ratio == pytest.approx(1.0, abs=0.01)
+
+
+def test_asympt_two_modes_is_the_exact_trend_bit_for_bit():
+    # at n = 2 the asymptote is (1 - l2/l1) 2^-b, the gap times an exact power
+    gen = RngStream(20240701).derive("asympt2").generator()
+    for _ in range(200):
+        lam = np.sort(gen.uniform(0.0, 1.0, 2))[::-1] * 10.0 ** gen.uniform(-100, 100)
+        for bits in range(25):
+            assert (delta1_asympt(lam, bits).value
+                    == (1.0 - lam[1] / lam[0]) * 2.0 ** (-bits))
 
 
 def test_mc_flat_spectrum_is_zero():

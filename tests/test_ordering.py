@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvqlab.errors import RvqlabError
 from rvqlab.loss import delta1_appx, delta1_quadrature
 from rvqlab.ordering import majorize_compare, schur_family, verify_schur
 
@@ -42,11 +41,6 @@ def test_family_is_a_chain():
     fam = schur_family()
     for i in range(fam.shape[0] - 1):
         assert majorize_compare(fam[i], fam[i + 1]) == 1
-
-
-def test_family_rejects_overshoot():
-    with pytest.raises(RvqlabError):
-        schur_family(x_stop=0.8)
 
 
 def test_closed_form_loss_monotone_along_family():

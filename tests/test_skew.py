@@ -284,13 +284,11 @@ def test_sk_asympt_scale_invariant_in_skew():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sk_asympt_of_the_identity_is_the_plain_asymptote(n):
-    # at n = 2, which delta1_asympt refuses, the plain limit is (1 - l2/l1)/m
     gen = _gen(f"aid{n}")
     for _ in range(5):
         ch = random_channel(gen, n, n)
         for bits in (0, 8, 24):
-            want = ((1.0 - ch.spectrum[1] / ch.spectrum[0]) / 2.0 ** bits if n == 2
-                    else delta1_asympt(ch.spectrum, bits).value)
+            want = delta1_asympt(ch.spectrum, bits).value
             got = delta1_sk_asympt(ch, SkewMatrix(np.eye(n)), bits).value
             assert got == pytest.approx(want, rel=1e-14)
 
